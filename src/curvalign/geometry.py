@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEdgeError, KTooLargeError
-from .numerics import Var
-
-EDGE_FLOOR = 1e-12
+from .errors import KTooLargeError
+from .numerics import EDGE_FLOOR, Graph, Var, edge_curvature
 
 
 @dataclass
@@ -48,17 +46,27 @@ def knn_from_sq_distances(d2: np.ndarray, k: int, source: str) -> NeighborGraph:
     """Exact kNN given a full squared-distance matrix.
 
     Self-distances are ignored; ties are broken by ascending point index.
+    Each row's k-th smallest distance comes from a partition; when exactly k
+    entries lie at or below it they are the neighbors, ordered by (distance,
+    index).  Rows whose ties straddle position k fall back to a stable sort.
     """
     b = d2.shape[0]
     if not 1 <= k <= b - 1:
         raise KTooLargeError(f"k={k} requires 1 <= k <= b-1 with b={b}")
-    d2 = d2.copy()
-    np.fill_diagonal(d2, np.inf)
+    part = d2.copy()
+    np.fill_diagonal(part, np.inf)  # a point is not its own neighbor
+    part.partition(k - 1, axis=1)
+    chosen = d2 <= part[:, [k - 1]]
+    np.fill_diagonal(chosen, False)
+    tied = np.count_nonzero(chosen, axis=1) != k
+    chosen[tied] = False
+    cols = np.nonzero(chosen)[1].reshape(-1, k)  # ascending index within a row
+    order = np.argsort(d2[np.flatnonzero(~tied)[:, None], cols], axis=1, kind="stable")
     indices = np.empty((b, k), dtype=np.int64)
-    ids = np.arange(b)
-    for i in range(b):
-        order = np.lexsort((ids, d2[i]))
-        indices[i] = order[:k]
+    indices[~tied] = np.take_along_axis(cols, order, axis=1)
+    rows = np.flatnonzero(tied)
+    order = np.argsort(d2[rows], axis=1, kind="stable")
+    indices[rows] = order[order != rows[:, None]].reshape(rows.size, b - 1)[:, :k]
     return NeighborGraph(indices, source=source)
 
 
@@ -71,7 +79,10 @@ def sq_distance_matrix(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     gram = points @ points.T
     diag = np.diag(gram)
-    return np.maximum(diag[:, None] + diag[None, :] - 2.0 * gram, 0.0)
+    sq = diag[:, None] + diag[None, :]
+    gram *= 2.0
+    sq -= gram  # in place: two (b, b) arrays live instead of four
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def knn_euclidean(points: np.ndarray, k: int, source: str = "batch") -> NeighborGraph:
@@ -85,24 +96,30 @@ def edge_bundle(points: np.ndarray, neighbors: NeighborGraph, row: int) -> EdgeB
     return EdgeBundle(center=center, edges=points[neighbors.indices[row]] - center)
 
 
+def _score_aux(metric) -> dict:
+    """Aux of the ``curvature`` primitive for a metric: cosine scores for
+    "euclidean" and the linear kernel, rbf scores with the spec's gamma."""
+    kind = "euclidean" if metric == "euclidean" else getattr(metric, "kind", None)
+    if kind in ("euclidean", "linear"):
+        return {"score": "cosine"}
+    if kind == "rbf":
+        return {"score": "rbf", "gamma": metric.gamma}
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def bundle_score(bundle: EdgeBundle, metric) -> float:
+    """Curvature score of one edge bundle under a metric (see _score_aux)."""
+    edges = np.asarray(bundle.edges, dtype=np.float64)
+    return float(edge_curvature(edges[None], **_score_aux(metric))[0])
+
+
 def curvature_score(bundle: EdgeBundle) -> float:
     """Sum of pairwise cosine similarities between the bundle's edges.
 
     Bounded by k(k-1)/2 in absolute value.  Raises DegenerateEdgeError when
     an edge is shorter than EDGE_FLOOR (a zero edge has no direction).
     """
-    edges = np.asarray(bundle.edges, dtype=np.float64)
-    k = edges.shape[0]
-    if k < 2:
-        raise ValueError("curvature needs at least two edges")
-    norms = np.sqrt(np.sum(edges * edges, axis=1))
-    if np.min(norms) <= EDGE_FLOOR:
-        bad = int(np.argmin(norms))
-        raise DegenerateEdgeError(f"edge {bad} has norm <= {EDGE_FLOOR}")
-    unit = edges / norms[:, None]
-    gram = unit @ unit.T
-    a, b = np.triu_indices(k, 1)
-    return float(np.sum(gram[a, b]))
+    return bundle_score(bundle, "euclidean")
 
 
 def batch_curvature(points: np.ndarray, k: int, metric="euclidean") -> np.ndarray:
@@ -110,59 +127,18 @@ def batch_curvature(points: np.ndarray, k: int, metric="euclidean") -> np.ndarra
 
     ``metric`` is either the string "euclidean" or a KernelSpec; the kernel
     branch finds neighbors by RKHS distance and scores with the normalized
-    kernel.  Plain (non-differentiable) evaluation; the trainer uses
-    curvature_scores_graph instead.
+    kernel.  Plain evaluation of the same primitive the trainer
+    differentiates through curvature_scores_graph.
     """
     points = np.asarray(points, dtype=np.float64)
     if metric == "euclidean":
         neighbors = knn_euclidean(points, k)
-        scores = [
-            curvature_score(edge_bundle(points, neighbors, i))
-            for i in range(points.shape[0])
-        ]
     else:
         from . import rkhs  # local import; rkhs depends on this module
 
-        spec = rkhs.resolve_spec(metric, points)
-        neighbors = rkhs.knn_rkhs(points, k, spec)
-        scores = []
-        for i in range(points.shape[0]):
-            try:
-                scores.append(
-                    rkhs.kernel_curvature_score(edge_bundle(points, neighbors, i), spec)
-                )
-            except DegenerateEdgeError as err:
-                raise DegenerateEdgeError(f"row {i}: {err}") from None
-    return np.asarray(scores, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# differentiable batch curvature
-# ---------------------------------------------------------------------------
-
-_PAIR_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _pair_machinery(b: int, k: int):
-    """Index arrays for all within-row edge pairs plus the per-row summing matrix.
-
-    left/right index into the (b*k, d) stacked edge matrix; S is (b, b*P)
-    with S @ per-pair-values = per-row sums, P = k(k-1)/2.
-    """
-    key = (b, k)
-    cached = _PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    a_idx, b_idx = np.triu_indices(k, 1)
-    p = a_idx.size
-    offsets = (np.arange(b) * k)[:, None]
-    left = (offsets + a_idx[None, :]).reshape(-1)
-    right = (offsets + b_idx[None, :]).reshape(-1)
-    summing = np.zeros((b, b * p))
-    rows = np.repeat(np.arange(b), p)
-    summing[rows, np.arange(b * p)] = 1.0
-    _PAIR_CACHE[key] = (left, right, summing)
-    return _PAIR_CACHE[key]
+        metric = rkhs.resolve_spec(metric, points)
+        neighbors = rkhs.knn_rkhs(points, k, metric)
+    return curvature_scores_graph(Graph().leaf(points), neighbors, metric).value[:, 0]
 
 
 def curvature_scores_graph(z: Var, neighbors: NeighborGraph, metric="euclidean") -> Var:
@@ -172,32 +148,4 @@ def curvature_scores_graph(z: Var, neighbors: NeighborGraph, metric="euclidean")
     selected neighbor coordinates only.  ``metric`` must be "euclidean" or a
     KernelSpec with a concrete bandwidth.
     """
-    b, k = neighbors.indices.shape
-    d = z.shape[1]
-    g = z.graph
-    flat_nb = neighbors.indices.reshape(-1)
-    centers = np.repeat(np.arange(b), k)
-    edges = z.gather_rows(flat_nb) - z.gather_rows(centers)  # (b*k, d)
-    left, right, summing = _pair_machinery(b, k)
-    ones_col = g.leaf(np.ones((d, 1)))
-    s_var = g.leaf(summing)
-
-    kind = "euclidean" if metric == "euclidean" else metric.kind
-    if kind in ("euclidean", "linear"):
-        sq_norms = edges.square() @ ones_col          # (b*k, 1)
-        if np.min(sq_norms.value) <= EDGE_FLOOR ** 2:
-            bad = int(np.argmin(sq_norms.value))
-            raise DegenerateEdgeError(
-                f"row {bad // k}: edge to neighbor {bad % k} has norm <= {EDGE_FLOOR}"
-            )
-        norms = sq_norms.sqrt()
-        unit = edges / (norms @ g.leaf(np.ones((1, d))))
-        dots = (unit.gather_rows(left) * unit.gather_rows(right)) @ ones_col
-        return s_var @ dots
-    if kind == "rbf":
-        if metric.gamma is None:
-            raise ValueError("rbf metric must be resolved to a concrete gamma")
-        diff = edges.gather_rows(left) - edges.gather_rows(right)
-        sq_dist = diff.square() @ ones_col
-        return s_var @ (sq_dist * (-metric.gamma)).exp()
-    raise ValueError(f"unknown metric {metric!r}")
+    return z.graph.apply("curvature", z, neighbors=neighbors.indices, **_score_aux(metric))

@@ -9,7 +9,8 @@ accumulates adjoints in a fixed order, which makes repeated runs
 bit-identical.
 
 Only the primitives below exist; there is no general broadcasting.  Shapes
-are scalars ``()``, vectors ``(n,)`` and matrices ``(m, n)``.
+are scalars ``()``, vectors ``(n,)`` and matrices ``(m, n)``; ``curvature``
+maps embeddings (b, d) to one kNN curvature score per row (b, 1).
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, NotScalarOutputError, ShapeMismatchError
+from .errors import (
+    DegenerateEdgeError,
+    NonFiniteError,
+    NotScalarOutputError,
+    ShapeMismatchError,
+)
 
 Array = np.ndarray
 
@@ -138,50 +144,94 @@ def _fwd_broadcast_row(a, *, count):
 
 
 # ---------------------------------------------------------------------------
+# curvature: one score per row from the edges to its neighbors
+# ---------------------------------------------------------------------------
+
+EDGE_FLOOR = 1e-12
+# elements of one row block's (rows, k, max(d, k)) temporaries, 1 MiB each: a
+# training batch is one or two blocks, and eager scoring of 784-d rows adds MiBs
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _row_blocks(b: int, k: int, d: int) -> list[slice]:
+    step = max(1, _BLOCK_ELEMENTS // max(1, k * max(d, k)))
+    return [slice(i, min(i + step, b)) for i in range(0, b, step)]
+
+
+def unit_edges(edges: Array, first_row: int):
+    """Norms (m, k), unit edges (m, k, d) and their per-row sum (m, d)."""
+    norms = np.sqrt(np.einsum("mkd,mkd->mk", edges, edges))
+    if norms.size and norms.min() <= EDGE_FLOOR:
+        row, a = np.unravel_index(np.argmin(norms), norms.shape)
+        raise DegenerateEdgeError(
+            f"row {first_row + row}: edge to neighbor {a} has norm <= {EDGE_FLOOR}"
+        )
+    unit = edges / norms[..., None]
+    return norms, unit, unit.sum(axis=1)
+
+
+def rbf_gram(edges: Array, gamma: float) -> Array:
+    """Per-row RBF kernel matrix (m, k, k) of the edges, diagonal zeroed.
+
+    The center cancels in e_a - e_b, so this is the kernel matrix of the
+    neighbor coordinates; edges keep the expansion's magnitudes small.
+    """
+    sq = np.einsum("mkd,mkd->mk", edges, edges)
+    dist = sq[:, :, None] + sq[:, None, :] - 2.0 * (edges @ edges.transpose(0, 2, 1))
+    gram = np.exp(-gamma * np.maximum(dist, 0.0))
+    diag = np.arange(edges.shape[1])
+    gram[:, diag, diag] = 0.0
+    return gram
+
+
+def edge_curvature(edges: Array, score: str, gamma: Optional[float] = None,
+                   first_row: int = 0) -> Array:
+    """Curvature score of each row of stacked edge vectors (m, k, d).
+
+    ``score="cosine"``: the sum of cosines over edge pairs, computed as
+    (||s||^2 - sum_a ||u_a||^2) / 2 from the unit edges u_a and s = sum_a u_a.
+    ``score="rbf"``: the sum of exp(-gamma ||e_a - e_b||^2) over edge pairs.
+    A cosine edge no longer than EDGE_FLOOR raises DegenerateEdgeError naming
+    its row (counted from ``first_row``) and neighbor.
+    """
+    if edges.shape[1] < 2:
+        raise ValueError("curvature needs at least two edges")
+    if score == "cosine":
+        _, unit, total = unit_edges(edges, first_row)
+        return (np.einsum("md,md->m", total, total) - np.einsum("mkd,mkd->m", unit, unit)) / 2.0
+    if score == "rbf":
+        if gamma is None or not gamma > 0.0:
+            raise ValueError("rbf curvature needs a positive gamma; resolve the spec first")
+        return rbf_gram(edges, gamma).sum(axis=(1, 2)) / 2.0
+    raise ValueError(f"unknown curvature score {score!r}")
+
+
+def _fwd_curvature(z, *, neighbors, score, gamma=None):
+    _require_2d(z, "curvature")
+    nb = np.asarray(neighbors, dtype=np.int64)
+    if nb.ndim != 2 or nb.shape[0] != z.shape[0]:
+        raise ShapeMismatchError(f"curvature: neighbors {nb.shape} for {z.shape[0]} rows")
+    if nb.size and (nb.min() < 0 or nb.max() >= z.shape[0]):
+        raise ShapeMismatchError(f"curvature: neighbor index out of range for {z.shape[0]} rows")
+    out = np.empty((z.shape[0], 1))
+    for rows in _row_blocks(*nb.shape, z.shape[1]):
+        out[rows, 0] = edge_curvature(z[nb[rows]] - z[rows, None, :], score, gamma, rows.start)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # primitive backward rules
 # ---------------------------------------------------------------------------
-# each rule maps (input values, cached output, upstream adjoint, aux)
-# to one adjoint per input
+# one rule per input maps (input values, cached output, upstream adjoint,
+# aux) to that input's adjoint; reverse_grad calls only the rules of inputs
+# that depend on a parameter leaf
 
-def _bwd_matmul(ins, out, g, aux):
-    a, b = ins
-    return [g @ b.T, a.T @ g]
-
-
-def _bwd_add(ins, out, g, aux):
-    return [g, g]
-
-
-def _bwd_sub(ins, out, g, aux):
-    return [g, -g]
-
-
-def _bwd_mul(ins, out, g, aux):
-    a, b = ins
-    return [g * b, g * a]
-
-
-def _bwd_div(ins, out, g, aux):
-    a, b = ins
-    return [g / b, -g * a / (b * b)]
-
-
-def _bwd_smul(ins, out, g, aux):
-    return [g * np.float64(aux["c"])]
-
-
-def _bwd_relu(ins, out, g, aux):
-    # derivative at exactly 0 is defined as 0
-    return [g * (ins[0] > 0.0)]
-
-
-def _bwd_sum(ins, out, g, aux):
-    return [np.full_like(ins[0], float(g))]
-
-
-def _bwd_mean_rows(ins, out, g, aux):
-    a = ins[0]
-    return [np.tile(g / a.shape[0], (a.shape[0], 1))]
+def _segment_sum(values: Array, rows, n: int) -> Array:
+    """Rows of ``values`` (m, d) summed into n rows by index, each output
+    row's terms added in input order (as np.add.at does)."""
+    d = values.shape[1]
+    flat = (np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
 
 
 def _bwd_std_rows(ins, out, g, aux):
@@ -190,34 +240,34 @@ def _bwd_std_rows(ins, out, g, aux):
     centered = a - np.mean(a, axis=0)
     sigma = out
     scale = np.where(sigma > 0.0, g / (b * np.where(sigma > 0.0, sigma, 1.0)), 0.0)
-    return [centered * scale]
+    return centered * scale
 
 
-def _bwd_sqrt(ins, out, g, aux):
-    return [g / (2.0 * out)]
+def _bwd_curvature(ins, out, g, aux):
+    """Closed-form adjoint of the curvature scores.
 
-
-def _bwd_square(ins, out, g, aux):
-    return [2.0 * ins[0] * g]
-
-
-def _bwd_exp(ins, out, g, aux):
-    return [g * out]
-
-
-def _bwd_transpose(ins, out, g, aux):
-    return [np.ascontiguousarray(g.T)]
-
-
-def _bwd_gather_rows(ins, out, g, aux):
-    a = ins[0]
-    adj = np.zeros_like(a)
-    np.add.at(adj, np.asarray(aux["rows"], dtype=np.int64), g)
-    return [adj]
-
-
-def _bwd_broadcast_row(ins, out, g, aux):
-    return [np.sum(g, axis=0)]
+    cosine: d/de_a = g (s - (u_a . s) u_a) / ||e_a||, added to the neighbor row
+    and subtracted from the center row.  rbf: d/dx_a = -2 gamma g (rowsum(K)_a
+    x_a - (K x)_a), K with zero diagonal, on neighbor rows only (the center
+    cancels).
+    """
+    z = ins[0]
+    nb = np.asarray(aux["neighbors"], dtype=np.int64)
+    gamma = aux.get("gamma")
+    adj = np.zeros_like(z)
+    for rows in _row_blocks(*nb.shape, z.shape[1]):
+        edges = z[nb[rows]] - z[rows, None, :]
+        if aux["score"] == "cosine":
+            norms, unit, total = unit_edges(edges, rows.start)
+            along = np.einsum("mkd,md->mk", unit, total)[..., None]
+            ge = (total[:, None, :] - along * unit) * (g[rows, :, None] / norms[..., None])
+            adj[rows] -= ge.sum(axis=1)
+        else:
+            gram = rbf_gram(edges, gamma)
+            rowsum = gram.sum(axis=2)[..., None]
+            ge = (gram @ edges - rowsum * edges) * (2.0 * gamma * g[rows, :, None])
+        adj += _segment_sum(ge.reshape(-1, z.shape[1]), nb[rows].ravel(), z.shape[0])
+    return adj
 
 
 _FORWARD: dict[str, Callable] = {
@@ -237,25 +287,29 @@ _FORWARD: dict[str, Callable] = {
     "transpose": _fwd_transpose,
     "gather_rows": _fwd_gather_rows,
     "broadcast_row": _fwd_broadcast_row,
+    "curvature": _fwd_curvature,
 }
 
-_BACKWARD: dict[str, Callable] = {
-    "matmul": _bwd_matmul,
-    "add": _bwd_add,
-    "sub": _bwd_sub,
-    "mul": _bwd_mul,
-    "div": _bwd_div,
-    "smul": _bwd_smul,
-    "relu": _bwd_relu,
-    "sum": _bwd_sum,
-    "mean_rows": _bwd_mean_rows,
-    "std_rows": _bwd_std_rows,
-    "sqrt": _bwd_sqrt,
-    "square": _bwd_square,
-    "exp": _bwd_exp,
-    "transpose": _bwd_transpose,
-    "gather_rows": _bwd_gather_rows,
-    "broadcast_row": _bwd_broadcast_row,
+_BACKWARD: dict[str, tuple[Callable, ...]] = {
+    "matmul": (lambda ins, out, g, aux: g @ ins[1].T, lambda ins, out, g, aux: ins[0].T @ g),
+    "add": (lambda ins, out, g, aux: g,) * 2,
+    "sub": (lambda ins, out, g, aux: g, lambda ins, out, g, aux: -g),
+    "mul": (lambda ins, out, g, aux: g * ins[1], lambda ins, out, g, aux: g * ins[0]),
+    "div": (lambda ins, out, g, aux: g / ins[1],
+            lambda ins, out, g, aux: -g * ins[0] / (ins[1] * ins[1])),
+    "smul": (lambda ins, out, g, aux: g * np.float64(aux["c"]),),
+    # the derivative at exactly 0 is defined as 0
+    "relu": (lambda ins, out, g, aux: g * (ins[0] > 0.0),),
+    "sum": (lambda ins, out, g, aux: np.full_like(ins[0], float(g)),),
+    "mean_rows": (lambda ins, out, g, aux: np.tile(g / ins[0].shape[0], (ins[0].shape[0], 1)),),
+    "std_rows": (_bwd_std_rows,),
+    "sqrt": (lambda ins, out, g, aux: g / (2.0 * out),),
+    "square": (lambda ins, out, g, aux: 2.0 * ins[0] * g,),
+    "exp": (lambda ins, out, g, aux: g * out,),
+    "transpose": (lambda ins, out, g, aux: np.ascontiguousarray(g.T),),
+    "gather_rows": (lambda ins, out, g, aux: _segment_sum(g, aux["rows"], ins[0].shape[0]),),
+    "broadcast_row": (lambda ins, out, g, aux: np.sum(g, axis=0),),
+    "curvature": (_bwd_curvature,),
 }
 
 PRIMITIVES = tuple(sorted(_FORWARD))
@@ -433,26 +487,32 @@ def reverse_grad(graph: Graph, output: Var) -> dict[int, Array]:
     """Gradient of a scalar output with respect to every parameter leaf.
 
     Returns a map node-id -> adjoint array.  Leaves the output does not
-    depend on get explicit zero gradients.  Accumulation order is fixed by
-    node index, so repeated calls are bit-identical.
+    depend on get explicit zero gradients.  Only nodes that depend on a
+    parameter leaf get adjoints (activity analysis): the backward rules of
+    constants and data never run, and no adjoint is computed for an input
+    that depends on no parameter.  Accumulation order is fixed by node
+    index, so repeated calls are bit-identical.
     """
     _check_scalar(graph, output)
     nodes = graph.nodes
-    adjoints: dict[int, Array] = {
-        output.idx: np.ones_like(nodes[output.idx].value)
-    }
+    active: list[bool] = []
+    for node in nodes[: output.idx + 1]:
+        active.append(node.param or any(active[j] for j in node.inputs))
+    adjoints: dict[int, Array] = {}
+    if active[output.idx]:
+        adjoints[output.idx] = np.ones_like(nodes[output.idx].value)
     for i in range(output.idx, -1, -1):
         node = nodes[i]
-        g = adjoints.get(i)
-        if g is None or node.op == "leaf":
+        if node.op == "leaf":
+            continue
+        g = adjoints.pop(i, None)  # an interior adjoint is dead once used
+        if g is None:
             continue
         ins = [nodes[j].value for j in node.inputs]
-        contribs = _BACKWARD[node.op](ins, node.value, g, node.aux)
-        for j, contrib in zip(node.inputs, contribs):
-            if j in adjoints:
-                adjoints[j] = adjoints[j] + contrib
-            else:
-                adjoints[j] = contrib
+        for j, rule in zip(node.inputs, _BACKWARD[node.op]):
+            if active[j]:
+                contrib = rule(ins, node.value, g, node.aux)
+                adjoints[j] = adjoints[j] + contrib if j in adjoints else contrib
     result: dict[int, Array] = {}
     for i in graph.param_leaves():
         grad = adjoints.get(i)

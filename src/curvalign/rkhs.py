@@ -13,14 +13,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateEdgeError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .geometry import (
     EDGE_FLOOR,
     EdgeBundle,
     NeighborGraph,
+    bundle_score,
     knn_from_sq_distances,
     sq_distance_matrix,
 )
+from .numerics import rbf_gram, unit_edges
 
 _KINDS = ("linear", "rbf")
 
@@ -56,8 +58,7 @@ def median_heuristic_gamma(points: np.ndarray) -> float:
     if n < 2:
         return 1.0
     dist = np.sqrt(sq_distance_matrix(points))
-    iu = np.triu_indices(n, 1)
-    med = float(np.median(dist[iu]))
+    med = float(np.median(dist[np.triu(np.ones((n, n), dtype=bool), 1)]))
     if med <= EDGE_FLOOR:
         return 1.0
     return 1.0 / (2.0 * med * med)
@@ -115,26 +116,16 @@ def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> GramMatrix:
     exactly 1.  A linear kernel with a zero edge has a zero self-kernel and
     raises DegenerateEdgeError.
     """
-    edges = np.asarray(edges, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.float64)[None]
     if spec.kind == "linear":
-        gram = edges @ edges.T
-        diag = np.diag(gram).copy()
-        if np.min(diag) <= EDGE_FLOOR ** 2:
-            bad = int(np.argmin(diag))
-            raise DegenerateEdgeError(f"edge {bad} has zero self-kernel")
-        values = gram / np.sqrt(diag[:, None] * diag[None, :])
+        unit = unit_edges(edges, 0)[1][0]
+        values = unit @ unit.T
+        np.fill_diagonal(values, 1.0)
     else:
-        diff = edges[:, None, :] - edges[None, :, :]
-        values = np.exp(-_gamma(spec) * np.sum(diff * diff, axis=2))
+        values = rbf_gram(edges, _gamma(spec))[0] + np.eye(edges.shape[1])
     return GramMatrix(values=values, normalized=True)
 
 
 def kernel_curvature_score(bundle: EdgeBundle, spec: KernelSpec) -> float:
     """Sum of the strict upper triangle of the normalized edge kernel matrix."""
-    edges = np.asarray(bundle.edges, dtype=np.float64)
-    k = edges.shape[0]
-    if k < 2:
-        raise ValueError("curvature needs at least two edges")
-    gram = normalized_gram(edges, spec)
-    a, b = np.triu_indices(k, 1)
-    return float(np.sum(gram.values[a, b]))
+    return bundle_score(bundle, spec)

@@ -14,7 +14,7 @@ from curvalign.geometry import (
 from curvalign.numerics import Graph, finite_diff_check
 from curvalign.rkhs import KernelSpec
 
-from oracles import knn_full_sort
+from oracles import curvature_per_point, knn_full_sort
 
 LINE = np.array([[0.0], [1.0], [3.0]])
 
@@ -48,6 +48,18 @@ def test_knn_matches_full_sort_oracle():
         k = int(rng.integers(1, min(b, 9)))
         pts = rng.uniform(-1, 1, size=(b, d))
         assert np.array_equal(knn_euclidean(pts, k).indices, knn_full_sort(pts, k))
+
+
+def test_knn_tie_heavy_matches_full_sort_oracle():
+    # grid points: most distances tie, many points coincide, and ties often
+    # straddle the k-th neighbor
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        b = int(rng.integers(4, 65))
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(b, 9)))
+        grid = rng.integers(0, 3, size=(b, d)).astype(np.float64)
+        assert np.array_equal(knn_euclidean(grid, k).indices, knn_full_sort(grid, k))
 
 
 def test_neighbor_graph_validation():
@@ -156,6 +168,30 @@ def test_graph_scores_match_eager_scores():
         nb = knn_euclidean(pts, 4)
         graph_scores = curvature_scores_graph(z, nb, metric).value.ravel()
         assert np.max(np.abs(eager - graph_scores)) <= 1e-12
+
+
+def test_graph_scores_raise_on_duplicated_points():
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
+    nb = knn_euclidean(pts, 2)
+    for metric in ("euclidean", KernelSpec("linear")):
+        g = Graph()
+        with pytest.raises(DegenerateEdgeError, match="row 0: edge to neighbor 0"):
+            curvature_scores_graph(g.leaf(pts, param=True), nb, metric)
+
+
+def test_fused_scores_match_straight_line_oracle():
+    rng = np.random.default_rng(14)
+    pts = rng.normal(size=(64, 5))
+    for metric, kind, gamma in (
+        ("euclidean", "euclidean", None),
+        (KernelSpec("linear"), "linear", None),
+        (KernelSpec("rbf", 0.3), "rbf", 0.3),
+    ):
+        want = curvature_per_point(pts, 10, kind, gamma)
+        assert np.max(np.abs(batch_curvature(pts, 10, metric) - want)) <= 1e-12
+        nb = NeighborGraph(knn_full_sort(pts, 10))
+        got = curvature_scores_graph(Graph().leaf(pts), nb, metric).value.ravel()
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_graph_scores_gradient():

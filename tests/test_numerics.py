@@ -6,12 +6,15 @@ from curvalign.errors import (
     NotScalarOutputError,
     ShapeMismatchError,
 )
+from curvalign import numerics
 from curvalign.numerics import (
+    PRIMITIVES,
     Graph,
     eval_primitive,
     finite_diff_check,
     reverse_grad,
 )
+from curvalign.rkhs import KernelSpec
 
 
 def test_eval_primitive_examples():
@@ -142,6 +145,15 @@ def _scalarize(g, rng, var):
     return (var * weights).sum()
 
 
+def _neighbor_table(rng, b, k):
+    """Random neighbor rows: repeats within a row, and row 0 is every other
+    row's first neighbor, so a center is also other rows' neighbor."""
+    table = np.array([rng.choice(np.delete(np.arange(b), i), size=k) for i in range(b)])
+    table[:, 2] = table[:, 1]
+    table[1:, 0] = 0
+    return table
+
+
 CASES = [
     ("matmul", lambda g, rng: g.apply(
         "matmul",
@@ -177,7 +189,26 @@ CASES = [
     ("gather_rows", lambda g, rng: g.leaf(_rand(rng, (6, 3)), param=True)
         .gather_rows(rng.integers(0, 6, size=8))),
     ("broadcast_row", lambda g, rng: g.leaf(_rand(rng, (4,)), param=True).broadcast_row(5)),
+    ("curvature:cosine", lambda g, rng: g.apply(
+        "curvature", g.leaf(_rand(rng, (7, 3), -1.0, 1.0), param=True),
+        neighbors=_neighbor_table(rng, 7, 4), score="cosine",
+    )),
+    ("curvature:rbf", lambda g, rng: g.apply(
+        "curvature", g.leaf(_rand(rng, (7, 3), -1.0, 1.0), param=True),
+        neighbors=_neighbor_table(rng, 7, 4), score="rbf", gamma=0.7,
+    )),
 ]
+
+# The curvature scores are transcendental: at h=1e-5 central differences of
+# them carry ~1e-10 absolute error, so a coordinate whose gradient happens to
+# be ~1e-5 misses 1e-6 relative although the adjoint is exact.  They use the
+# 1e-4 every other curvature gradient check in the suite uses (worst seen
+# over 6000 draws each: 1.2e-5).
+TOLERANCE = {"curvature:cosine": 1e-4, "curvature:rbf": 1e-4}
+
+
+def test_every_primitive_has_a_gradient_case():
+    assert {name.split(":")[0] for name, _ in CASES} == set(PRIMITIVES)
 
 
 @pytest.mark.parametrize("name,builder", CASES, ids=[c[0] for c in CASES])
@@ -187,7 +218,7 @@ def test_primitive_backward_matches_central_differences(name, builder):
         g = Graph()
         var = builder(g, rng)
         out = var if var.shape == () else _scalarize(g, rng, var)
-        report = finite_diff_check(g, out, step=1e-5, tol=1e-6)
+        report = finite_diff_check(g, out, step=1e-5, tol=TOLERANCE.get(name, 1e-6))
         assert report.passed, f"{name} trial {trial}: {report.per_leaf}"
 
 
@@ -202,3 +233,64 @@ def test_full_objective_gradient_small_instance():
     _, total = total_loss(z, zp, k=3)
     report = finite_diff_check(g, total, step=1e-5, tol=1e-4)
     assert report.passed, report.per_leaf
+
+
+def _unpruned_grad(graph, output):
+    """reverse_grad without activity analysis: every rule of every node the
+    output reaches runs, constants and data included."""
+    nodes = graph.nodes
+    adjoints = {output.idx: np.ones_like(nodes[output.idx].value)}
+    for i in range(output.idx, -1, -1):
+        node = nodes[i]
+        g = adjoints.get(i)
+        if g is None or node.op == "leaf":
+            continue
+        ins = [nodes[j].value for j in node.inputs]
+        for j, rule in zip(node.inputs, numerics._BACKWARD[node.op]):
+            contrib = rule(ins, node.value, g, node.aux)
+            adjoints[j] = adjoints[j] + contrib if j in adjoints else contrib
+    return {i: adjoints.get(i, np.zeros_like(nodes[i].value)) for i in graph.param_leaves()}
+
+
+@pytest.mark.parametrize("metric", ["euclidean", KernelSpec("rbf", 0.8)], ids=["cosine", "rbf"])
+def test_reverse_grad_skips_inputs_without_a_parameter(monkeypatch, metric):
+    from curvalign.losses import total_loss
+    from curvalign.model import Architecture, forward_graph, init_params, param_leaves
+
+    arch = Architecture(6, (8,), (6, 4))
+    rng = np.random.default_rng(21)
+    g = Graph()
+    leaves = param_leaves(g, init_params(arch, seed=3))
+    x1 = g.leaf(rng.uniform(size=(12, 6)))
+    x2 = g.leaf(rng.uniform(size=(12, 6)))
+    _, z1 = forward_graph(leaves, arch, x1)
+    _, z2 = forward_graph(leaves, arch, x2)
+    _, total = total_loss(z1, z2, k=3, metric=metric)
+
+    passive = set()  # nodes that depend on no parameter leaf
+    for i, node in enumerate(g.nodes):
+        if not node.param and all(j in passive for j in node.inputs):
+            passive.add(i)
+    assert {x1.idx, x2.idx} <= passive
+    assert any(n.op == "leaf" and not n.param and i not in (x1.idx, x2.idx)
+               for i, n in enumerate(g.nodes) if i in passive)  # eye / off_mask constants
+    by_value = {id(n.value): i for i, n in enumerate(g.nodes)}
+    assert len(by_value) == len(g.nodes)
+    reference = _unpruned_grad(g, total)
+
+    served = []  # the node each backward rule call computed an adjoint for
+    def spy(rule, pos):
+        def wrapped(ins, out, grad, aux):
+            served.append(by_value[id(ins[pos])])
+            return rule(ins, out, grad, aux)
+        return wrapped
+    monkeypatch.setattr(numerics, "_BACKWARD", {
+        op: tuple(spy(rule, pos) for pos, rule in enumerate(rules))
+        for op, rules in numerics._BACKWARD.items()
+    })
+    pruned = reverse_grad(g, total)
+
+    assert served and not passive.intersection(served)
+    assert pruned.keys() == reference.keys()
+    for i in pruned:
+        assert np.array_equal(pruned[i], reference[i]), g.nodes[i].name
