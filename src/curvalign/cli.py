@@ -126,26 +126,18 @@ def _format_value(value) -> str:
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    if cfg.epochs < 1:
-        raise E.InvariantViolationError("epochs must be >= 1")
-    if cfg.batch_size <= cfg.k + 1:
-        raise E.InvariantViolationError(
-            f"batch_size must exceed k+1 ({cfg.batch_size} vs k={cfg.k})"
-        )
-    if cfg.learning_rate <= 0.0:
-        raise E.InvariantViolationError("learning_rate must be positive")
-    if cfg.metric not in ("euclidean", "linear", "rbf"):
-        raise E.InvariantViolationError(f"metric must be euclidean|linear|rbf, got {cfg.metric!r}")
-    if cfg.rbf_gamma is not None and cfg.rbf_gamma <= 0.0:
-        raise E.InvariantViolationError("rbf_gamma must be positive when given")
+    """Check the CLI's own keys, then every library rule by building the
+    library objects the config describes; no data is read."""
     if cfg.dataset not in ("mnist", "blobs", "ring", "patterns"):
-        raise E.InvariantViolationError(f"unknown dataset {cfg.dataset!r}")
-    if not 0.0 <= cfg.mask_fraction < 1.0:
-        raise E.InvariantViolationError("mask_fraction must lie in [0, 1)")
-    if cfg.noise_sigma < 0.0 or cfg.shift_max < 0:
-        raise E.InvariantViolationError("augmentation strengths must be non-negative")
-    if cfg.eps < 0.0:
-        raise E.InvariantViolationError("eps must be non-negative")
+        raise E.InvariantViolationError(
+            f"dataset must be mnist|blobs|ring|patterns, got {cfg.dataset!r}"
+        )
+    for key in ("train_limit", "test_limit", "probe_epochs"):
+        if getattr(cfg, key) < 0:
+            raise E.InvariantViolationError(f"{key} must be >= 0, got {getattr(cfg, key)}")
+    if cfg.probe_batch < 1:
+        raise E.InvariantViolationError(f"probe_batch must be >= 1, got {cfg.probe_batch}")
+    train_config_from(cfg, input_dim=1, image_shape=None)
     return cfg
 
 
@@ -291,11 +283,19 @@ def _load_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise E.IoFailureError(f"cannot read embeddings {path}: {err}") from None
     if not rows or not rows[0].startswith("label,"):
         raise E.ConfigTypeError(f"{path}: expected a label,h0,... CSV header")
+    width = rows[0].count(",") + 1
     labels, feats = [], []
-    for row in rows[1:]:
+    for lineno, row in enumerate(rows[1:], 2):
         parts = row.split(",")
-        labels.append(int(parts[0]))
-        feats.append([float(v) for v in parts[1:]])
+        if len(parts) != width:
+            raise E.InvariantViolationError(
+                f"{path}, line {lineno}: {len(parts)} fields, the header has {width}"
+            )
+        try:
+            labels.append(int(parts[0]))
+            feats.append([float(v) for v in parts[1:]])
+        except ValueError as err:
+            raise E.InvariantViolationError(f"{path}, line {lineno}: {err}") from None
     return np.asarray(feats), np.asarray(labels, dtype=np.int64)
 
 
@@ -379,16 +379,15 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-            _validate(cfg)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise E.IoFailureError(f"cannot create output directory {out_dir}: {err}") from None
         return _COMMANDS[args.command](cfg, out_dir, args)
     except E.CurvalignError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CODES.get(type(err), 1)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CODES[E.InvariantViolationError]
 
 
 if __name__ == "__main__":

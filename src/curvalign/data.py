@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -20,6 +21,8 @@ from .errors import (
     BatchTooSmallError,
     CountMismatchError,
     InvalidCountsError,
+    InvariantViolationError,
+    IoFailureError,
     TruncatedFileError,
 )
 
@@ -82,10 +85,11 @@ def load_idx(images_path, labels_path) -> Dataset:
     labels carry magic 2049 then count.  Pixels are scaled to [0, 1] and
     flattened row-major.
     """
-    with open(images_path, "rb") as f:
-        img_buf = f.read()
-    with open(labels_path, "rb") as f:
-        lab_buf = f.read()
+    try:
+        img_buf = Path(images_path).read_bytes()
+        lab_buf = Path(labels_path).read_bytes()
+    except OSError as err:
+        raise IoFailureError(f"cannot read IDX data: {err}") from None
 
     magic = _read_be32(img_buf, 0, images_path)
     if magic != IMAGE_MAGIC:
@@ -146,6 +150,8 @@ def make_blobs(n: int, num_classes: int, d: int, spread: float, seed: int) -> Da
     """Gaussian clusters at seeded random centers inside the unit box."""
     if not n >= num_classes >= 2:
         raise InvalidCountsError(f"need n >= num_classes >= 2, got n={n}, classes={num_classes}")
+    if d < 1:
+        raise InvariantViolationError(f"blobs_dim must be >= 1, got {d}")
     rng = stream(seed, "blobs")
     centers = rng.uniform(0.25, 0.75, size=(num_classes, d))
     labels = _round_robin_labels(n, num_classes)
@@ -190,6 +196,14 @@ def make_pattern_images(
     """
     if not n >= num_classes >= 2:
         raise InvalidCountsError(f"need n >= num_classes >= 2, got n={n}, classes={num_classes}")
+    if side < 1 or max_shift < 0:
+        raise InvariantViolationError(
+            f"patterns_side must be >= 1 and patterns_shift >= 0, got {side} and {max_shift}"
+        )
+    if not contrast_range[0] <= contrast_range[1]:
+        raise InvariantViolationError(
+            f"patterns_contrast_min must not exceed patterns_contrast_max, got {contrast_range}"
+        )
     rng = stream(seed, "patterns")
     yy, xx = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     templates = []
@@ -238,11 +252,11 @@ class AugmentationPolicy:
 
     def __post_init__(self):
         if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise InvariantViolationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.mask_fraction < 1.0:
-            raise ValueError("mask_fraction must lie in [0, 1)")
+            raise InvariantViolationError("mask_fraction must lie in [0, 1)")
         if self.shift_max < 0:
-            raise ValueError("shift_max must be >= 0")
+            raise InvariantViolationError(f"shift_max must be >= 0, got {self.shift_max}")
 
 
 def augment_view(x: np.ndarray, policy: AugmentationPolicy, rng: np.random.Generator) -> np.ndarray:

@@ -83,5 +83,5 @@ class ConfigTypeError(CurvalignError):
     pass
 
 
-class InvariantViolationError(CurvalignError):
-    pass
+class InvariantViolationError(CurvalignError, ValueError):
+    """An invalid config value; raised by the type that owns the rule."""

@@ -136,15 +136,14 @@ def total_loss(
     b = z.shape[0]
     if not b > k:
         raise BatchTooSmallError(f"batch size {b} must exceed k={k}")
-    if k < 2:
-        raise ValueError("curvature needs k >= 2")
     weights = Weights(*weights)
 
     zt = standardize_features(z, eps)
     zpt = standardize_features(zp, eps)
     corr = cross_correlation(zt, zpt)
-    emb_total, emb_diag, emb_off = barlow_loss(corr, weights.lambda_emb)
+    total, emb_diag, emb_off = barlow_loss(corr, weights.lambda_emb)
 
+    curv_parts = (0.0, 0.0)
     if include_curvature:
         nb, spec = _neighbors(z.value, k, metric)
         nbp, specp = _neighbors(zp.value, k, metric)
@@ -152,25 +151,10 @@ def total_loss(
         ctp = standardize_scores(curvature_scores_graph(zp, nbp, specp), eps)
         m = curvature_matrix(ct, ctp)
         curv_total, curv_diag, curv_off = curvature_loss(m, weights.lambda_curv)
-        total = emb_total + curv_total * weights.alpha_curv
-        breakdown = LossBreakdown(
-            total=float(total.value),
-            emb_diag=float(emb_diag.value),
-            emb_offdiag=float(emb_off.value),
-            curv_diag=float(curv_diag.value),
-            curv_offdiag=float(curv_off.value),
-            weights=weights,
-        )
-    else:
-        total = emb_total
-        breakdown = LossBreakdown(
-            total=float(total.value),
-            emb_diag=float(emb_diag.value),
-            emb_offdiag=float(emb_off.value),
-            curv_diag=0.0,
-            curv_offdiag=0.0,
-            weights=weights,
-        )
+        total = total + curv_total * weights.alpha_curv
+        curv_parts = (float(curv_diag.value), float(curv_off.value))
+    breakdown = LossBreakdown(float(total.value), float(emb_diag.value),
+                              float(emb_off.value), *curv_parts, weights=weights)
     return breakdown, total
 
 

@@ -77,8 +77,9 @@ class Architecture:
 
 
 def init_params(arch: Architecture, seed: int) -> Params:
-    """Glorot-uniform weights, zero biases, fully determined by the seed."""
-    rng = np.random.default_rng(seed)
+    """Glorot-uniform weights, zero biases, fully determined by the seed
+    (any integer, taken modulo 2**64 as in ``data.stream``)."""
+    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     params: Params = {}
     for name, fan_in, fan_out, _ in arch.layers():
         scale = np.sqrt(6.0 / (fan_in + fan_out))
@@ -94,32 +95,24 @@ def _check_input(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     return x
 
 
+def _eager_layers(params: Params, arch: Architecture, x: np.ndarray, prefix: str) -> np.ndarray:
+    for name, _, _, relu in arch.layers():
+        if name.startswith(prefix):
+            w, b = params[name]
+            x = x @ w + b
+            if relu:
+                x = np.maximum(x, 0.0)
+    return x
+
+
 def encode(params: Params, arch: Architecture, x: np.ndarray) -> np.ndarray:
     """Eager forward pass through the encoder."""
-    x = _check_input(x, arch.input_dim, "encode")
-    h = x
-    for name, _, _, relu in arch.layers():
-        if not name.startswith("enc"):
-            break
-        w, b = params[name]
-        h = h @ w + b
-        if relu:
-            h = np.maximum(h, 0.0)
-    return h
+    return _eager_layers(params, arch, _check_input(x, arch.input_dim, "encode"), "enc")
 
 
 def project(params: Params, arch: Architecture, h: np.ndarray) -> np.ndarray:
     """Eager forward pass through the projector."""
-    h = _check_input(h, arch.d_h, "project")
-    z = h
-    for name, _, _, relu in arch.layers():
-        if not name.startswith("proj"):
-            continue
-        w, b = params[name]
-        z = z @ w + b
-        if relu:
-            z = np.maximum(z, 0.0)
-    return z
+    return _eager_layers(params, arch, _check_input(h, arch.d_h, "project"), "proj")
 
 
 def param_leaves(graph: Graph, params: Params) -> dict[str, tuple[Var, Var]]:

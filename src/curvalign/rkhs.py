@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import InvariantViolationError, ShapeMismatchError
 from .geometry import (
     EDGE_FLOOR,
     EdgeBundle,
@@ -23,8 +23,6 @@ from .geometry import (
     sq_distance_matrix,
 )
 from .numerics import rbf_gram, unit_edges
-
-_KINDS = ("linear", "rbf")
 
 
 @dataclass(frozen=True)
@@ -36,10 +34,10 @@ class KernelSpec:
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kernel kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in ("linear", "rbf"):
+            raise InvariantViolationError(f"kernel kind must be linear|rbf, got {self.kind!r}")
         if self.gamma is not None and not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
+            raise InvariantViolationError(f"rbf_gamma must be > 0 or empty, got {self.gamma!r}")
 
 
 @dataclass

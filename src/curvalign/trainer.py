@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import AugmentationPolicy, BatchPlan, Dataset, augment_view, batches, stream
-from .errors import EmptyDatasetError, NonFiniteError, ShapeMismatchError
+from .errors import EmptyDatasetError, InvariantViolationError, NonFiniteError, ShapeMismatchError
 from .losses import LossBreakdown, Weights, total_loss
 from .model import (
     Architecture,
@@ -52,13 +52,22 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise InvariantViolationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.k < 2:
+            raise InvariantViolationError(f"k must be >= 2 (two edges per score), got {self.k}")
         if not self.batch_size > self.k + 1:
-            raise ValueError(f"batch_size {self.batch_size} must exceed k+1={self.k + 1}")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+            raise InvariantViolationError(
+                f"batch_size must exceed k+1 ({self.batch_size} vs k={self.k})"
+            )
+        if not self.learning_rate > 0.0:
+            raise InvariantViolationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.eps >= 0.0:
+            raise InvariantViolationError(f"eps must be >= 0, got {self.eps}")
         if self.metric not in ("euclidean", "linear", "rbf"):
-            raise ValueError(f"unknown metric {self.metric!r}")
+            raise InvariantViolationError(
+                f"metric must be euclidean|linear|rbf, got {self.metric!r}"
+            )
+        KernelSpec("rbf", self.rbf_gamma)  # its bandwidth rule, whatever the metric
 
     def metric_spec(self):
         if self.metric == "euclidean":

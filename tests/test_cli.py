@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curvalign import cli
 from curvalign.cli import (
     EXIT_CODES,
     RunConfig,
@@ -11,6 +12,7 @@ from curvalign.cli import (
 )
 from curvalign.errors import (
     ConfigTypeError,
+    CurvalignError,
     InvariantViolationError,
     UnknownKeyError,
 )
@@ -216,3 +218,105 @@ def test_cli_curvature_from_embeddings_csv(tmp_path):
 
     got = np.array([float(r.split(",")[2]) for r in rows[1:]])
     assert np.allclose(got, batch_curvature(pts, 4), atol=1e-12)
+
+
+MISSING_MNIST = "dataset = mnist\n" + "".join(
+    f"mnist_{part} = {{tmp}}/missing/{part}\n"
+    for part in ("train_images", "train_labels", "test_images", "test_labels")
+)
+SMALL_PATTERNS = "dataset = patterns\npatterns_n = 64\npatterns_test_n = 8\n"
+
+# (command, config lines added to FAST_BLOBS, exit code, stderr fragment)
+EXIT_CASES = [
+    ("pretrain", "epochs = 0", 12, "epochs must be >= 1"),
+    ("pretrain", "batch_size = 5", 12, "batch_size must exceed k+1"),
+    ("pretrain", "learning_rate = 0", 12, "learning_rate must be > 0"),
+    ("pretrain", "metric = cosine", 12, "euclidean|linear|rbf"),
+    ("pretrain", "rbf_gamma = -1", 12, "rbf_gamma must be > 0"),
+    ("curvature", "rbf_gamma = 0", 12, "rbf_gamma must be > 0"),
+    ("pretrain", "mask_fraction = 1", 12, "mask_fraction must lie in [0, 1)"),
+    ("pretrain", "noise_sigma = -0.1", 12, "noise_sigma must be >= 0"),
+    ("pretrain", "shift_max = -1", 12, "shift_max must be >= 0"),
+    ("pretrain", "eps = -1e-5", 12, "eps must be >= 0"),
+    ("pretrain", "k = 1", 12, "k must be >= 2"),
+    ("curvature", "k = 1", 12, "k must be >= 2"),
+    ("curvature", "k = 0", 12, "k must be >= 2"),
+    ("curvature", "k = -2", 12, "k must be >= 2"),
+    ("pretrain", "dataset = digits", 12, "mnist|blobs|ring|patterns"),
+    ("probe", "probe_batch = 0", 12, "probe_batch must be >= 1"),
+    ("probe", "probe_epochs = -3", 12, "probe_epochs must be >= 0"),
+    ("curvature", "train_limit = -5", 12, "train_limit must be >= 0"),
+    ("probe", "test_limit = -5", 12, "test_limit must be >= 0"),
+    ("curvature", SMALL_PATTERNS + "patterns_side = 0", 12, "patterns_side"),
+    ("curvature", SMALL_PATTERNS + "patterns_shift = -1", 12, "patterns_shift"),
+    ("curvature", SMALL_PATTERNS + "patterns_noise = -1", 0, ""),  # no noise
+    ("curvature", SMALL_PATTERNS + "patterns_contrast_max = 0.25", 12, "patterns_contrast_min"),
+    ("curvature", "blobs_dim = -1", 12, "blobs_dim must be >= 1"),
+    ("curvature", "embeddings_csv = {tmp}/bad.csv", 12, "bad.csv, line 3"),
+    ("curvature", "embeddings_csv = {tmp}/ragged.csv", 12, "ragged.csv, line 3"),
+    ("probe", "encoder_widths = 0", 46, "widths must be >= 1"),
+    ("curvature", "encoder_widths = 0", 46, "widths must be >= 1"),
+    ("export-embeddings", "encoder_widths = 0", 46, "widths must be >= 1"),
+    ("pretrain", MISSING_MNIST, 30, "missing/train_images"),
+    ("pretrain", MISSING_MNIST + "k = 1", 12, "k must be >= 2"),  # checked before any read
+]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    (root / "run.cfg").write_text(FAST_BLOBS)
+    assert main(["pretrain", "--config", str(root / "run.cfg"), "--out", str(root)]) == 0
+    (root / "bad.csv").write_text("label,h0,h1\n0,0.5,0.25\n1,abc,0.5\n")
+    (root / "ragged.csv").write_text("label,h0,h1\n0,0.5,0.25\n1,0.5\n")
+    return root
+
+
+@pytest.mark.parametrize("command,extra,code,fragment", EXIT_CASES,
+                         ids=[f"{c[0]}:{c[1].splitlines()[-1]}" for c in EXIT_CASES])
+def test_cli_exit_code_per_input(trained, tmp_path, capsys, command, extra, code, fragment):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST_BLOBS + extra.replace("{tmp}", str(trained)) + "\n")
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+            "--checkpoint", str(trained / "checkpoint.ckpt")]
+    assert main(argv) == code
+    assert fragment in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_is_io_failure(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST_BLOBS)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(blocker / "out")]) == 30
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
+def test_unexpected_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(cfg, out_dir, args):
+        raise ValueError("a defect, not a config value")
+
+    monkeypatch.setitem(cli._COMMANDS, "curvature", broken)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST_BLOBS)
+    with pytest.raises(ValueError, match="a defect"):
+        main(["curvature", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+def test_config_invariants_checked_at_parse(tmp_path):
+    path = tmp_path / "c.cfg"
+    for text in ("k = 1\n", "eps = -1\n", "probe_batch = 0\n", "train_limit = -1\n"):
+        path.write_text(text)
+        with pytest.raises(InvariantViolationError):
+            parse_config(path)
+
+
+def test_every_error_class_has_its_own_exit_code():
+    def concrete(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from concrete(sub)
+
+    classes = set(concrete(CurvalignError))
+    assert classes == set(EXIT_CODES)
+    assert len(set(EXIT_CODES.values())) == len(EXIT_CODES)

@@ -54,6 +54,14 @@ def test_init_params_deterministic_and_bounded():
     assert np.max(np.abs(w)) > 0.9 * bound  # the range is actually used
 
 
+def test_init_params_takes_any_integer_seed_modulo_2_64():
+    # data.stream takes seeds modulo 2**64; init_params must agree, or a
+    # negative seed fails in numpy halfway through a run
+    for name, (w, b) in init_params(ARCH, seed=-1).items():
+        w2, b2 = init_params(ARCH, seed=2**64 - 1)[name]
+        assert np.array_equal(w, w2) and np.array_equal(b, b2)
+
+
 def test_encode_project_trivial_cases():
     params = {name: (np.zeros((i, o)), np.zeros(o)) for name, i, o, _ in ARCH.layers()}
     assert np.array_equal(encode(params, ARCH, np.ones((3, 6))), np.zeros((3, 5)))

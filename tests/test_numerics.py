@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -214,7 +216,7 @@ def test_every_primitive_has_a_gradient_case():
 @pytest.mark.parametrize("name,builder", CASES, ids=[c[0] for c in CASES])
 def test_primitive_backward_matches_central_differences(name, builder):
     for trial in range(7):
-        rng = np.random.default_rng(hash((name, trial)) % 2**32)
+        rng = np.random.default_rng([zlib.crc32(name.encode()), trial])
         g = Graph()
         var = builder(g, rng)
         out = var if var.shape == () else _scalarize(g, rng, var)

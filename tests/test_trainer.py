@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from curvalign.data import AugmentationPolicy, Dataset, make_blobs
-from curvalign.errors import EmptyDatasetError, NonFiniteError, ShapeMismatchError
+from curvalign.errors import (
+    EmptyDatasetError,
+    InvariantViolationError,
+    NonFiniteError,
+    ShapeMismatchError,
+)
 from curvalign.losses import Weights
 from curvalign.model import Architecture, Checkpoint, init_params
 from curvalign.trainer import (
@@ -40,6 +45,14 @@ def test_train_config_invariants():
         _small_config(learning_rate=0.0)
     with pytest.raises(ValueError):
         _small_config(metric="cosine")
+
+
+@pytest.mark.parametrize("overrides", [dict(k=1), dict(k=0), dict(eps=-1e-5), dict(rbf_gamma=-1.0)])
+def test_train_config_owns_k_eps_and_gamma_rules(overrides):
+    with pytest.raises(InvariantViolationError) as info:
+        _small_config(**overrides)
+    assert isinstance(info.value, ValueError)
+    assert next(iter(overrides)) in str(info.value)
 
 
 def test_adam_first_step_closed_form():
