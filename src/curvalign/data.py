@@ -1,9 +1,10 @@
 """Datasets, two-view augmentation and deterministic batching.
 
 Randomness contract: everything derives from one root seed through
-``stream(seed, *path)``, which builds an independent generator per
-(purpose, epoch, batch, sample, view) path.  Reordering parallel work can
-therefore never change a single draw.
+``stream(seed, *path)``, which builds an independent generator per path.
+Augmentation is keyed per (epoch, batch, view): one stream draws a view
+for every row of a batch.  Reordering parallel work can therefore never
+change a single draw.
 """
 
 from __future__ import annotations
@@ -200,14 +201,16 @@ def make_pattern_images(
         raise InvariantViolationError(
             f"patterns_side must be >= 1 and patterns_shift >= 0, got {side} and {max_shift}"
         )
-    if not contrast_range[0] <= contrast_range[1]:
+    lo, hi = contrast_range
+    if not (lo <= hi and np.isfinite(hi - lo)):
         raise InvariantViolationError(
-            f"patterns_contrast_min must not exceed patterns_contrast_max, got {contrast_range}"
+            "patterns_contrast_min and patterns_contrast_max must be finite and ordered, "
+            f"with a finite range, got {contrast_range}"
         )
     rng = stream(seed, "patterns")
     yy, xx = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     templates = []
-    for _ in range(num_classes):
+    for label in range(num_classes):
         img = np.zeros((side, side))
         for _ in range(4):
             fy, fx = rng.integers(1, 4, size=2)
@@ -215,7 +218,12 @@ def make_pattern_images(
             amp = rng.uniform(0.5, 1.0)
             img += amp * np.cos(2.0 * np.pi * (fy * yy + fx * xx) / side + phase)
         img -= img.min()
-        img /= img.max()
+        peak = img.max()
+        if not peak > 0.0:
+            raise InvariantViolationError(
+                f"patterns_side = {side} makes the template of class {label} constant"
+            )
+        img /= peak
         templates.append(img)
     labels = _round_robin_labels(n, num_classes)
     feats = np.empty((n, side * side))
@@ -259,29 +267,45 @@ class AugmentationPolicy:
             raise InvariantViolationError(f"shift_max must be >= 0, got {self.shift_max}")
 
 
-def augment_view(x: np.ndarray, policy: AugmentationPolicy, rng: np.random.Generator) -> np.ndarray:
-    """One stochastic view: pixel shift (zero-fill), coordinate masking,
-    Gaussian noise, then clamp to [0, 1].  Consumes only the given stream."""
-    out = np.asarray(x, dtype=np.float64).copy()
-    d = out.shape[0]
-    if policy.image_shape is not None and policy.shift_max > 0:
-        rows, cols = policy.image_shape
-        dy, dx = rng.integers(-policy.shift_max, policy.shift_max + 1, size=2)
-        img = out.reshape(rows, cols)
-        shifted = np.zeros_like(img)
+def _shift_batch(batch: np.ndarray, policy: AugmentationPolicy,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Shift each image row by its own (dy, dx) in [-s, s]^2, zero-filling
+    what slides in; one slice assignment per distinct offset."""
+    rows, cols = policy.image_shape
+    s = policy.shift_max
+    shifts = rng.integers(-s, s + 1, size=(batch.shape[0], 2))
+    imgs = batch.reshape(-1, rows, cols)
+    shifted = np.zeros_like(imgs)
+    offsets, group = np.unique(shifts, axis=0, return_inverse=True)
+    for g, (dy, dx) in enumerate(offsets):
+        members = np.flatnonzero(group == g)
         src_y = slice(max(0, -dy), rows - max(0, dy))
         src_x = slice(max(0, -dx), cols - max(0, dx))
         dst_y = slice(max(0, dy), rows - max(0, -dy))
         dst_x = slice(max(0, dx), cols - max(0, -dx))
-        shifted[dst_y, dst_x] = img[src_y, src_x]
-        out = shifted.reshape(-1)
+        shifted[members, dst_y, dst_x] = imgs[members, src_y, src_x]
+    return shifted.reshape(batch.shape)
+
+
+def augment_view(x: np.ndarray, policy: AugmentationPolicy, rng: np.random.Generator) -> np.ndarray:
+    """One stochastic view of a (d,) row or of every row of a (b, d) batch:
+    pixel shift (zero-fill), coordinate masking, Gaussian noise, then clamp
+    to [0, 1].  Consumes only the given stream, drawing each stage for the
+    whole batch at once; a (d,) row draws exactly as a 1-row batch."""
+    out = np.array(x, dtype=np.float64, ndmin=2)
+    b, d = out.shape
+    if policy.image_shape is not None and policy.shift_max > 0:
+        out = _shift_batch(out, policy, rng)
     n_mask = int(policy.mask_fraction * d)
     if n_mask > 0:
-        masked = rng.choice(d, size=n_mask, replace=False)
-        out[masked] = 0.0
+        # each row's n_mask smallest uniforms: a uniform draw without replacement
+        ranks = rng.random((b, d))
+        masked = np.argpartition(ranks, n_mask - 1, axis=1)[:, :n_mask]
+        np.put_along_axis(out, masked, 0.0, axis=1)
     if policy.noise_sigma > 0.0:
-        out = out + rng.normal(0.0, policy.noise_sigma, size=d)
-    return np.clip(out, 0.0, 1.0)
+        out += rng.normal(0.0, policy.noise_sigma, size=(b, d))
+    np.clip(out, 0.0, 1.0, out=out)
+    return out.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------

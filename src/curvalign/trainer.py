@@ -168,18 +168,11 @@ def _two_views(
     epoch: int,
     batch_idx: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    views = []
-    for view in (0, 1):
-        rows = [
-            augment_view(
-                dataset.features[i],
-                policy,
-                stream(seed, "augment", epoch, batch_idx, int(i), view),
-            )
-            for i in idx
-        ]
-        views.append(np.stack(rows))
-    return views[0], views[1]
+    rows = dataset.features[idx]
+    return tuple(
+        augment_view(rows, policy, stream(seed, "augment", epoch, batch_idx, view))
+        for view in (0, 1)
+    )
 
 
 def pretrain(
@@ -214,8 +207,8 @@ def pretrain(
             graph = Graph()
             leaves = param_leaves(graph, params)
             try:
-                _, z1 = forward_graph(leaves, arch, graph.leaf(x1))
-                _, z2 = forward_graph(leaves, arch, graph.leaf(x2))
+                z1 = forward_graph(leaves, arch, graph.leaf(x1))[1]
+                z2 = forward_graph(leaves, arch, graph.leaf(x2))[1]
                 breakdown, total = total_loss(
                     z1,
                     z2,
@@ -236,6 +229,8 @@ def pretrain(
             )
             sums += np.asarray(breakdown.as_tuple())
             count += 1
+            # release this step's tape and views before the next batch is augmented
+            del graph, leaves, by_id, z1, z2, total, x1, x2, grads
             if on_step is not None:
                 on_step(epoch, batch_idx, breakdown)
         mean = sums / max(count, 1)

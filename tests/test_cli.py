@@ -248,9 +248,11 @@ EXIT_CASES = [
     ("curvature", "train_limit = -5", 12, "train_limit must be >= 0"),
     ("probe", "test_limit = -5", 12, "test_limit must be >= 0"),
     ("curvature", SMALL_PATTERNS + "patterns_side = 0", 12, "patterns_side"),
+    ("pretrain", SMALL_PATTERNS + "patterns_side = 1", 12, "template of class 0 constant"),
     ("curvature", SMALL_PATTERNS + "patterns_shift = -1", 12, "patterns_shift"),
     ("curvature", SMALL_PATTERNS + "patterns_noise = -1", 0, ""),  # no noise
     ("curvature", SMALL_PATTERNS + "patterns_contrast_max = 0.25", 12, "patterns_contrast_min"),
+    ("curvature", SMALL_PATTERNS + "patterns_contrast_max = inf", 12, "must be finite"),
     ("curvature", "blobs_dim = -1", 12, "blobs_dim must be >= 1"),
     ("curvature", "embeddings_csv = {tmp}/bad.csv", 12, "bad.csv, line 3"),
     ("curvature", "embeddings_csv = {tmp}/ragged.csv", 12, "ragged.csv, line 3"),

@@ -184,6 +184,79 @@ def test_augment_noise_statistics():
     assert abs(np.mean(np.abs(out - x)) - expected) <= 0.05 * expected
 
 
+def test_augment_batch_masks_n_mask_per_row():
+    x = np.ones((64, 100))
+    policy = AugmentationPolicy(0.0, 0.25, 0)
+    out = augment_view(x, policy, stream(3, "mask"))
+    assert out.shape == (64, 100)
+    assert ((out == 0.0).sum(axis=1) == 25).all()
+    assert np.array_equal(x, np.ones((64, 100)))  # the input batch is not touched
+
+
+def test_augment_batch_masks_each_coordinate_uniformly():
+    # 4000 rows, 10 of 50 coordinates masked per row: every coordinate's
+    # masking rate is 0.2, with a binomial sd of 0.0063; allow 0.03 (4.7 sd)
+    x = np.ones((4000, 50))
+    policy = AugmentationPolicy(0.0, 0.2, 0)
+    rate = (augment_view(x, policy, stream(5, "mask-rate")) == 0.0).mean(axis=0)
+    assert np.abs(rate - 0.2).max() <= 0.03
+
+
+def _zero_fill_shift(img, dy, dx):
+    """Reference shift: roll, then zero the rows and columns that wrapped."""
+    rows, cols = img.shape
+    out = np.roll(img, (dy, dx), axis=(0, 1))
+    out[: max(0, dy)] = 0.0
+    out[rows + min(0, dy):] = 0.0
+    out[:, : max(0, dx)] = 0.0
+    out[:, cols + min(0, dx):] = 0.0
+    return out
+
+
+def test_augment_batch_shift_matches_a_zero_fill_shift_per_row():
+    rows, cols, s = 6, 8, 3
+    x = np.random.default_rng(2).uniform(0.1, 1.0, size=(1000, rows * cols))
+    policy = AugmentationPolicy(0.0, 0.0, s, image_shape=(rows, cols))
+    out = augment_view(x, policy, stream(6, "shift-batch"))
+    offsets = [(dy, dx) for dy in range(-s, s + 1) for dx in range(-s, s + 1)]
+    seen = set()
+    for got, img in zip(out, x):
+        img = img.reshape(rows, cols)
+        match = [o for o in offsets
+                 if np.array_equal(got, _zero_fill_shift(img, *o).reshape(-1))]
+        assert len(match) == 1
+        seen.add(match[0])
+    assert seen == set(offsets)  # every offset group in [-s, s]^2 was exercised
+
+
+def test_augment_one_row_batch_equals_row_call():
+    x = np.random.default_rng(3).uniform(0, 1, size=64)
+    policy = AugmentationPolicy(0.1, 0.2, 2, image_shape=(8, 8))
+    row = augment_view(x, policy, stream(8, "aug", 1))
+    batch = augment_view(x[None, :], policy, stream(8, "aug", 1))
+    assert row.shape == (64,) and batch.shape == (1, 64)
+    assert np.array_equal(batch[0], row)
+
+
+def test_pretrain_step_builds_one_augment_stream_per_view(monkeypatch):
+    from curvalign import trainer
+    from curvalign.model import Architecture
+
+    paths = []
+
+    def counting_stream(seed, *path):
+        paths.append(path)
+        return stream(seed, *path)
+
+    monkeypatch.setattr(trainer, "stream", counting_stream)
+    config = trainer.TrainConfig(
+        architecture=Architecture(16, (16,), (16, 8)), epochs=1, batch_size=32, k=4, seed=2,
+        augmentation=AugmentationPolicy(0.05, 0.1, 0),
+    )
+    trainer.pretrain(config, make_blobs(32, 4, 16, 0.1, seed=2))  # one step
+    assert paths == [("augment", 0, 0, 0), ("augment", 0, 0, 1)]
+
+
 def test_batches_cover_and_drop():
     plan = BatchPlan(seed=0, batch_size=5, min_batch=1)
     got = batches(10, plan, epoch=0)
