@@ -10,19 +10,28 @@ high, spread-out ones score low or negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import KTooLargeError
+from .errors import InvariantViolationError, KTooLargeError
 from .numerics import EDGE_FLOOR, Graph, Var, edge_curvature
+
+if TYPE_CHECKING:
+    from .rkhs import KernelSpec
 
 
 @dataclass
 class NeighborGraph:
-    """Per-row neighbor indices, sorted by ascending distance then index."""
+    """Per-row neighbor indices, sorted by ascending distance then index.
+
+    ``kernel`` is the resolved KernelSpec of an RKHS kNN, None for a
+    Euclidean one.
+    """
 
     indices: np.ndarray  # (b, k) int64
     source: str = "batch"
+    kernel: Optional[KernelSpec] = None
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -32,6 +41,11 @@ class NeighborGraph:
             raise ValueError("neighbor list contains the point itself")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= b):
             raise ValueError("neighbor index out of range")
+
+    @property
+    def metric(self):
+        """The metric to score these neighbors under: "euclidean" or the kernel."""
+        return "euclidean" if self.kernel is None else self.kernel
 
 
 @dataclass
@@ -96,6 +110,21 @@ def edge_bundle(points: np.ndarray, neighbors: NeighborGraph, row: int) -> EdgeB
     return EdgeBundle(center=center, edges=points[neighbors.indices[row]] - center)
 
 
+def knn_metric(points: np.ndarray, k: int, metric) -> NeighborGraph:
+    """kNN under a metric: the string "euclidean" or a KernelSpec.
+
+    A kernel metric runs ``rkhs.knn_rkhs``, which resolves an unset rbf
+    bandwidth; the graph's ``metric`` then carries the resolved spec.
+    """
+    if isinstance(metric, str) and metric == "euclidean":
+        return knn_euclidean(points, k)
+    from . import rkhs  # local import; rkhs depends on this module
+
+    if not isinstance(metric, rkhs.KernelSpec):
+        raise InvariantViolationError(f"metric must be 'euclidean' or a KernelSpec, got {metric!r}")
+    return rkhs.knn_rkhs(points, k, metric)
+
+
 def _score_aux(metric) -> dict:
     """Aux of the ``curvature`` primitive for a metric: cosine scores for
     "euclidean" and the linear kernel, rbf scores with the spec's gamma."""
@@ -104,7 +133,7 @@ def _score_aux(metric) -> dict:
         return {"score": "cosine"}
     if kind == "rbf":
         return {"score": "rbf", "gamma": metric.gamma}
-    raise ValueError(f"unknown metric {metric!r}")
+    raise InvariantViolationError(f"unknown metric {metric!r}")
 
 
 def bundle_score(bundle: EdgeBundle, metric) -> float:
@@ -131,14 +160,8 @@ def batch_curvature(points: np.ndarray, k: int, metric="euclidean") -> np.ndarra
     differentiates through curvature_scores_graph.
     """
     points = np.asarray(points, dtype=np.float64)
-    if metric == "euclidean":
-        neighbors = knn_euclidean(points, k)
-    else:
-        from . import rkhs  # local import; rkhs depends on this module
-
-        metric = rkhs.resolve_spec(metric, points)
-        neighbors = rkhs.knn_rkhs(points, k, metric)
-    return curvature_scores_graph(Graph().leaf(points), neighbors, metric).value[:, 0]
+    neighbors = knn_metric(points, k, metric)
+    return curvature_scores_graph(Graph().leaf(points), neighbors, neighbors.metric).value[:, 0]
 
 
 def curvature_scores_graph(z: Var, neighbors: NeighborGraph, metric="euclidean") -> Var:

@@ -4,9 +4,12 @@ Two ingredients, both built on the differentiation graph:
 
 * a redundancy-reduction loss on standardized projected features, pushing
   the two-view cross-correlation matrix toward the identity;
-* the same loss shape applied to a rank-one matrix of standardized
-  curvature scores, aligning local neighborhood bending across views and
-  decorrelating it across samples.
+* the same loss shape applied to the rank-one matrix M of standardized
+  curvature scores, aligning local neighborhood bending across views.
+  Standardized columns give ||M||_F = 1, so at eps = 0 and lambda_curv = 1
+  the term is exactly b + 1 - 2 rho, with rho the Pearson correlation of
+  the two views' scores: its off-diagonal part cannot vanish, and the term
+  does not decorrelate samples, it only raises rho.
 
 All functions here take and return graph Vars so the trainer can
 differentiate end-to-end; ``total_loss_arrays`` is the plain-array
@@ -21,9 +24,12 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import BatchTooSmallError, ShapeMismatchError
-from .geometry import NeighborGraph, curvature_scores_graph, knn_euclidean
+from .geometry import curvature_scores_graph, knn_metric
 from .numerics import Graph, Var
-from .rkhs import KernelSpec, knn_rkhs, resolve_spec
+from .rkhs import KernelSpec
+# not called here: perfbench/tracer.py wraps these module attributes by name
+from .geometry import knn_euclidean  # noqa: F401
+from .rkhs import knn_rkhs, resolve_spec  # noqa: F401
 
 Metric = Union[str, KernelSpec]
 
@@ -108,13 +114,6 @@ def curvature_loss(m: Var, lambda_curv: float) -> tuple[Var, Var, Var]:
     return _identity_penalty(m, lambda_curv)
 
 
-def _neighbors(points: np.ndarray, k: int, metric: Metric) -> tuple[NeighborGraph, Metric]:
-    if metric == "euclidean":
-        return knn_euclidean(points, k), "euclidean"
-    spec = resolve_spec(metric, points)
-    return knn_rkhs(points, k, spec), spec
-
-
 def total_loss(
     z: Var,
     zp: Var,
@@ -145,10 +144,10 @@ def total_loss(
 
     curv_parts = (0.0, 0.0)
     if include_curvature:
-        nb, spec = _neighbors(z.value, k, metric)
-        nbp, specp = _neighbors(zp.value, k, metric)
-        ct = standardize_scores(curvature_scores_graph(z, nb, spec), eps)
-        ctp = standardize_scores(curvature_scores_graph(zp, nbp, specp), eps)
+        nb = knn_metric(z.value, k, metric)
+        nbp = knn_metric(zp.value, k, metric)
+        ct = standardize_scores(curvature_scores_graph(z, nb, nb.metric), eps)
+        ctp = standardize_scores(curvature_scores_graph(zp, nbp, nbp.metric), eps)
         m = curvature_matrix(ct, ctp)
         curv_total, curv_diag, curv_off = curvature_loss(m, weights.lambda_curv)
         total = total + curv_total * weights.alpha_curv

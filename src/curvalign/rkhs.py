@@ -50,13 +50,20 @@ def median_heuristic_gamma(points: np.ndarray) -> float:
     """gamma = 1 / (2 * median(pairwise distance)^2) over the batch.
 
     Falls back to 1.0 when the points are (numerically) all identical.
+    ``knn_rkhs`` takes the same bandwidth from the distance matrix it
+    already built for the kNN, so it does not call this.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    return _median_gamma(sq_distance_matrix(points))
+
+
+def _median_gamma(sq: np.ndarray) -> float:
+    """The median-heuristic gamma from a squared-distance matrix; ``sq`` is not changed."""
+    n = sq.shape[0]
     if n < 2:
         return 1.0
-    dist = np.sqrt(sq_distance_matrix(points))
-    med = float(np.median(dist[np.triu(np.ones((n, n), dtype=bool), 1)]))
+    dist = sq[np.arange(n)[:, None] < np.arange(n)]  # strict upper triangle, a copy
+    np.sqrt(dist, out=dist)
+    med = float(np.median(dist, overwrite_input=True))
     if med <= EDGE_FLOOR:
         return 1.0
     return 1.0 / (2.0 * med * med)
@@ -92,19 +99,27 @@ def rkhs_distance(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def _rkhs_sq_distances(points: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    if spec.kind == "linear":
-        return sq_distance_matrix(points)
-    d2 = 2.0 - 2.0 * np.exp(-_gamma(spec) * sq_distance_matrix(points))
-    return np.maximum(d2, 0.0)
-
-
 def knn_rkhs(points: np.ndarray, k: int, spec: KernelSpec) -> NeighborGraph:
-    """Brute-force kNN under the RKHS distance; same tie rule as knn_euclidean."""
+    """Brute-force kNN under the RKHS distance; same tie rule as knn_euclidean.
+
+    One squared-distance matrix feeds both the median-heuristic bandwidth
+    (when ``spec`` leaves it unset) and the kNN: the rbf transform
+    max(2 - 2 exp(-gamma sq), 0) runs in place on it.  The returned graph
+    records the resolved spec as ``kernel``.
+    """
     points = np.asarray(points, dtype=np.float64)
-    spec = resolve_spec(spec, points)
-    d2 = _rkhs_sq_distances(points, spec)
-    return knn_from_sq_distances(d2, k, source=f"rkhs:{spec.kind}")
+    d2 = sq_distance_matrix(points)
+    if spec.kind == "rbf":
+        if spec.gamma is None:
+            spec = KernelSpec("rbf", _median_gamma(d2))
+        np.multiply(d2, -spec.gamma, out=d2)
+        np.exp(d2, out=d2)
+        np.multiply(d2, 2.0, out=d2)
+        np.subtract(2.0, d2, out=d2)
+        np.maximum(d2, 0.0, out=d2)
+    graph = knn_from_sq_distances(d2, k, source=f"rkhs:{spec.kind}")
+    graph.kernel = spec
+    return graph
 
 
 def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> GramMatrix:

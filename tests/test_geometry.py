@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvalign.errors import DegenerateEdgeError, KTooLargeError
+from curvalign.errors import DegenerateEdgeError, InvariantViolationError, KTooLargeError
 from curvalign.geometry import (
     EdgeBundle,
     NeighborGraph,
@@ -156,6 +156,15 @@ def test_linear_kernel_metric_equals_euclidean():
     euclid = batch_curvature(pts, 4, "euclidean")
     linear = batch_curvature(pts, 4, KernelSpec("linear"))
     assert np.max(np.abs(euclid - linear)) <= 1e-10
+
+
+def test_batch_curvature_rejects_metric_names_other_than_euclidean():
+    pts = np.random.default_rng(5).normal(size=(8, 3))
+    for metric in ("rbf", "linear", "cosine", None):
+        with pytest.raises(InvariantViolationError, match=repr(metric)):
+            batch_curvature(pts, 3, metric)
+        with pytest.raises(InvariantViolationError, match=repr(metric)):
+            curvature_scores_graph(Graph().leaf(pts), knn_euclidean(pts, 3), metric)
 
 
 def test_graph_scores_match_eager_scores():

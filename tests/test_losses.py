@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvalign.errors import BatchTooSmallError, ShapeMismatchError
+from curvalign.errors import BatchTooSmallError, InvariantViolationError, ShapeMismatchError
 from curvalign.geometry import batch_curvature
 from curvalign.losses import (
     LossBreakdown,
@@ -222,6 +222,18 @@ def test_trace_bound_and_equality_condition():
     assert abs(float(diag.value) + float(off.value) - (9 - 1)) <= 1e-9
 
 
+def test_curvature_penalty_is_b_plus_one_minus_twice_score_correlation():
+    # at eps = 0 and lambda_curv = 1 the rank-one penalty reduces to b + 1 - 2 rho
+    rng = np.random.default_rng(12)
+    for b in (9, 64, 256):
+        for metric in ("euclidean", KernelSpec("rbf")):
+            z, zp = rng.normal(size=(b, 4)), rng.normal(size=(b, 4))
+            bd = total_loss_arrays(z, zp, k=3, metric=metric, weights=Weights(0.5, 1.0, 2.0),
+                                   eps=0.0)
+            rho = np.corrcoef(batch_curvature(z, 3, metric), batch_curvature(zp, 3, metric))[0, 1]
+            assert abs(bd.curv_diag + bd.curv_offdiag - (b + 1 - 2 * rho)) <= 1e-9
+
+
 def test_loss_breakdown_invariant():
     rng = np.random.default_rng(8)
     z, zp = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
@@ -266,3 +278,6 @@ def test_total_loss_preconditions():
         total_loss(z, zp, k=4)
     with pytest.raises(ValueError):
         total_loss(z, zp, k=1)
+    for metric in ("linear", "rbf"):
+        with pytest.raises(InvariantViolationError, match=repr(metric)):
+            total_loss(z, zp, k=2, metric=metric)

@@ -3,8 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from curvalign.errors import DegenerateEdgeError, ShapeMismatchError
-from curvalign.geometry import EdgeBundle, curvature_score, knn_euclidean
+import curvalign.rkhs as rkhs
+from curvalign.errors import CurvalignError, DegenerateEdgeError, ShapeMismatchError
+from curvalign.geometry import (
+    EDGE_FLOOR,
+    EdgeBundle,
+    batch_curvature,
+    curvature_score,
+    curvature_scores_graph,
+    knn_euclidean,
+    knn_from_sq_distances,
+    sq_distance_matrix,
+)
+from curvalign.losses import total_loss_arrays
 from curvalign.numerics import Graph, finite_diff_check
 from curvalign.rkhs import (
     KernelSpec,
@@ -91,6 +102,88 @@ def test_knn_rkhs_resolves_missing_gamma():
     explicit = knn_rkhs(pts, 2, KernelSpec("rbf", 0.125))
     assert np.array_equal(auto.indices, explicit.indices)
     assert auto.source == "rkhs:rbf"
+
+
+def _two_pass_gamma(points):
+    """The median heuristic on its own distance matrix, with the triu mask."""
+    n = points.shape[0]
+    if n < 2:
+        return 1.0
+    dist = np.sqrt(sq_distance_matrix(points))
+    med = float(np.median(dist[np.triu(np.ones((n, n), dtype=bool), 1)]))
+    return 1.0 if med <= EDGE_FLOOR else 1.0 / (2.0 * med * med)
+
+
+def _two_pass_sq_distances(points, gamma):
+    """The rbf RKHS distances from a second matrix, transformed out of place."""
+    return np.maximum(2.0 - 2.0 * np.exp(-gamma * sq_distance_matrix(points)), 0.0)
+
+
+def _scores_or_error(score):
+    try:
+        return score()
+    except CurvalignError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_one_matrix_rbf_knn_is_bit_identical_to_two_passes(monkeypatch):
+    selected = []  # the RKHS distances knn_rkhs selects from
+
+    def recording(d2, k, source):
+        selected.append(d2.copy())
+        return knn_from_sq_distances(d2, k, source)
+
+    monkeypatch.setattr(rkhs, "knn_from_sq_distances", recording)
+    rng = np.random.default_rng(21)
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0)), -1).reshape(-1, 2)
+    dup = rng.normal(size=(12, 3))
+    cases = [  # (points, k)
+        (rng.normal(size=(64, 5)), 7),
+        (grid, 4),  # tied distances everywhere
+        (np.vstack([dup, dup[::3]]), 3),  # exact duplicates
+        (rng.normal(size=(2, 3)), 1),  # one pair
+        (rng.normal(size=(3, 3)), 2),  # odd pair count
+        (rng.normal(size=(4, 3)), 2),  # even pair count: median of two middles
+        (np.full((5, 2), 0.7), 2),  # all identical: gamma falls back to 1.0
+    ]
+    for points, k in cases:
+        gamma = _two_pass_gamma(points)
+        d2 = _two_pass_sq_distances(points, gamma)
+        old = knn_from_sq_distances(d2, k, source="rkhs:rbf")
+        selected.clear()
+        new = knn_rkhs(points, k, KernelSpec("rbf"))
+        assert median_heuristic_gamma(points) == gamma
+        assert new.kernel == KernelSpec("rbf", gamma)
+        assert np.array_equal(selected[0], d2)
+        assert np.array_equal(new.indices, old.indices)
+        if k < 2:
+            continue
+        old_scores = _scores_or_error(lambda: curvature_scores_graph(
+            Graph().leaf(points), old, KernelSpec("rbf", gamma)).value[:, 0])
+        new_scores = _scores_or_error(lambda: batch_curvature(points, k, KernelSpec("rbf")))
+        if isinstance(old_scores, str):  # duplicates leave zero edges
+            assert new_scores == old_scores
+        else:
+            assert np.array_equal(new_scores, old_scores)
+    assert _two_pass_gamma(cases[-1][0]) == 1.0
+
+
+def test_rbf_median_builds_one_distance_matrix_per_point_set(monkeypatch):
+    built = []
+    original = rkhs.sq_distance_matrix
+
+    def counting(points):
+        built.append(np.shape(points))
+        return original(points)
+
+    monkeypatch.setattr(rkhs, "sq_distance_matrix", counting)
+    rng = np.random.default_rng(22)
+    z, zp = rng.normal(size=(16, 4)), rng.normal(size=(16, 4))
+    batch_curvature(z, 3, KernelSpec("rbf"))
+    assert built == [(16, 4)]
+    built.clear()
+    total_loss_arrays(z, zp, 3, metric=KernelSpec("rbf"))
+    assert built == [(16, 4), (16, 4)]
 
 
 def test_normalized_gram_examples():
