@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import InvariantViolationError, KTooLargeError
-from .numerics import EDGE_FLOOR, Graph, Var, edge_curvature
+from .numerics import EDGE_FLOOR, Graph, Var, edge_curvature, sq_distance_matrix
 
 if TYPE_CHECKING:
     from .rkhs import KernelSpec
@@ -82,21 +82,6 @@ def knn_from_sq_distances(d2: np.ndarray, k: int, source: str) -> NeighborGraph:
     order = np.argsort(d2[rows], axis=1, kind="stable")
     indices[rows] = order[order != rows[:, None]].reshape(rows.size, b - 1)[:, :k]
     return NeighborGraph(indices, source=source)
-
-
-def sq_distance_matrix(points: np.ndarray) -> np.ndarray:
-    """All pairwise squared Euclidean distances, O(b^2) memory.
-
-    The gram expansion keeps bit-identical rows at exactly 0, so duplicate
-    tie-breaking stays deterministic; tiny negative values are clamped.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    gram = points @ points.T
-    diag = np.diag(gram)
-    sq = diag[:, None] + diag[None, :]
-    gram *= 2.0
-    sq -= gram  # in place: two (b, b) arrays live instead of four
-    return np.maximum(sq, 0.0, out=sq)
 
 
 def knn_euclidean(points: np.ndarray, k: int, source: str = "batch") -> NeighborGraph:

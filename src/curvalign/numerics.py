@@ -10,7 +10,11 @@ bit-identical.
 
 Only the primitives below exist; there is no general broadcasting.  Shapes
 are scalars ``()``, vectors ``(n,)`` and matrices ``(m, n)``; ``curvature``
-maps embeddings (b, d) to one kNN curvature score per row (b, 1).
+maps embeddings (b, d) to one kNN curvature score per row (b, 1).  Its
+cosine scores run over bounded row blocks of (rows, k, d) edge tensors; its
+RBF scores read every neighbor pair's kernel value from one (b, b) kernel
+matrix of the batch, built from ``sq_distance_matrix``, the gram expansion
+every kNN and bandwidth in the package also builds from.
 """
 
 from __future__ import annotations
@@ -148,14 +152,60 @@ def _fwd_broadcast_row(a, *, count):
 # ---------------------------------------------------------------------------
 
 EDGE_FLOOR = 1e-12
-# elements of one row block's (rows, k, max(d, k)) temporaries, 1 MiB each: a
-# training batch is one or two blocks, and eager scoring of 784-d rows adds MiBs
+# elements of one row block's (rows, k, max(d, k)) cosine temporaries, 1 MiB
+# each: a training batch is one or two blocks, and eager scoring of 784-d rows
+# adds MiBs; rbf scores read one (b, b) kernel matrix and need no blocks, and
+# sq_distance_matrix forms that matrix in (rows, b) blocks of the same size
 _BLOCK_ELEMENTS = 1 << 17
 
 
 def _row_blocks(b: int, k: int, d: int) -> list[slice]:
     step = max(1, _BLOCK_ELEMENTS // max(1, k * max(d, k)))
     return [slice(i, min(i + step, b)) for i in range(0, b, step)]
+
+
+def sq_distance_matrix(points: Array) -> Array:
+    """All pairwise squared Euclidean distances, O(b^2) memory.
+
+    The gram expansion keeps bit-identical rows at exactly 0, so duplicate
+    tie-breaking stays deterministic; tiny negative values are clamped.  It
+    overwrites the gram matrix in row blocks, so one (b, b) array is live.  A
+    row whose squared norm is not finite raises NonFiniteError naming it.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    sq = points @ points.T
+    diag = sq.diagonal().copy()
+    if not np.all(np.isfinite(diag)):
+        row = int(np.flatnonzero(~np.isfinite(diag))[0])
+        raise NonFiniteError(f"point row {row} has a non-finite squared norm")
+    step = max(1, _BLOCK_ELEMENTS // max(1, sq.shape[0]))
+    for i in range(0, sq.shape[0], step):
+        rows = sq[i:i + step]
+        rows *= 2.0
+        np.subtract(diag[i:i + step, None] + diag, rows, out=rows)
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def rbf_kernel_matrix(points: Array, gamma: float) -> Array:
+    """exp(-gamma ||x_p - x_q||^2) over all row pairs (b, b); diagonal exactly 1.
+
+    The distances are the gram expansion of the column-centred points: a
+    shared offset cancels in every difference, and centring keeps the
+    expansion's magnitudes at the spread of the points.
+    """
+    if gamma is None or not gamma > 0.0:
+        raise ValueError("rbf curvature needs a positive gamma; resolve the spec first")
+    kernel = sq_distance_matrix(points - points.mean(axis=0))
+    np.multiply(kernel, -gamma, out=kernel)
+    return np.exp(kernel, out=kernel)
+
+
+def _rbf_curvature(kernel: Array, neighbors: Array) -> Array:
+    """Sum of kernel[n_a, n_b] over each row's neighbor pairs a < b, (b,)."""
+    pairs = kernel[neighbors[:, :, None], neighbors[:, None, :]]
+    diag = np.arange(neighbors.shape[1])
+    pairs[:, diag, diag] = 0.0
+    return pairs.sum(axis=(1, 2)) / 2.0
 
 
 def unit_edges(edges: Array, first_row: int):
@@ -170,27 +220,14 @@ def unit_edges(edges: Array, first_row: int):
     return norms, unit, unit.sum(axis=1)
 
 
-def rbf_gram(edges: Array, gamma: float) -> Array:
-    """Per-row RBF kernel matrix (m, k, k) of the edges, diagonal zeroed.
-
-    The center cancels in e_a - e_b, so this is the kernel matrix of the
-    neighbor coordinates; edges keep the expansion's magnitudes small.
-    """
-    sq = np.einsum("mkd,mkd->mk", edges, edges)
-    dist = sq[:, :, None] + sq[:, None, :] - 2.0 * (edges @ edges.transpose(0, 2, 1))
-    gram = np.exp(-gamma * np.maximum(dist, 0.0))
-    diag = np.arange(edges.shape[1])
-    gram[:, diag, diag] = 0.0
-    return gram
-
-
 def edge_curvature(edges: Array, score: str, gamma: Optional[float] = None,
                    first_row: int = 0) -> Array:
     """Curvature score of each row of stacked edge vectors (m, k, d).
 
     ``score="cosine"``: the sum of cosines over edge pairs, computed as
     (||s||^2 - sum_a ||u_a||^2) / 2 from the unit edges u_a and s = sum_a u_a.
-    ``score="rbf"``: the sum of exp(-gamma ||e_a - e_b||^2) over edge pairs.
+    ``score="rbf"``: the sum of exp(-gamma ||e_a - e_b||^2) over edge pairs,
+    from the kernel matrix of each row's k edges (the center cancels).
     A cosine edge no longer than EDGE_FLOOR raises DegenerateEdgeError naming
     its row (counted from ``first_row``) and neighbor.
     """
@@ -200,9 +237,9 @@ def edge_curvature(edges: Array, score: str, gamma: Optional[float] = None,
         _, unit, total = unit_edges(edges, first_row)
         return (np.einsum("md,md->m", total, total) - np.einsum("mkd,mkd->m", unit, unit)) / 2.0
     if score == "rbf":
-        if gamma is None or not gamma > 0.0:
-            raise ValueError("rbf curvature needs a positive gamma; resolve the spec first")
-        return rbf_gram(edges, gamma).sum(axis=(1, 2)) / 2.0
+        every_edge = np.arange(edges.shape[1])[None]  # one row, all k edges its neighbors
+        return np.concatenate([_rbf_curvature(rbf_kernel_matrix(e, gamma), every_edge)
+                               for e in edges])
     raise ValueError(f"unknown curvature score {score!r}")
 
 
@@ -213,6 +250,10 @@ def _fwd_curvature(z, *, neighbors, score, gamma=None):
         raise ShapeMismatchError(f"curvature: neighbors {nb.shape} for {z.shape[0]} rows")
     if nb.size and (nb.min() < 0 or nb.max() >= z.shape[0]):
         raise ShapeMismatchError(f"curvature: neighbor index out of range for {z.shape[0]} rows")
+    if score == "rbf":
+        if nb.shape[1] < 2:
+            raise ValueError("curvature needs at least two edges")
+        return _rbf_curvature(rbf_kernel_matrix(z, gamma), nb)[:, None]
     out = np.empty((z.shape[0], 1))
     for rows in _row_blocks(*nb.shape, z.shape[1]):
         out[rows, 0] = edge_curvature(z[nb[rows]] - z[rows, None, :], score, gamma, rows.start)
@@ -247,25 +288,35 @@ def _bwd_curvature(ins, out, g, aux):
     """Closed-form adjoint of the curvature scores.
 
     cosine: d/de_a = g (s - (u_a . s) u_a) / ||e_a||, added to the neighbor row
-    and subtracted from the center row.  rbf: d/dx_a = -2 gamma g (rowsum(K)_a
-    x_a - (K x)_a), K with zero diagonal, on neighbor rows only (the center
-    cancels).
+    and subtracted from the center row, over bounded row blocks.
+    rbf: each pair term K_pq = exp(-gamma ||x_p - x_q||^2) is one entry of the
+    batch kernel matrix K whichever row's neighborhood holds it, so the rows
+    sum into one pair weight C_pq = sum_i g_i #{(a, b): n_a = p, n_b = q},
+    p != q, over the ordered neighbor pairs of each row i (the diagonal
+    carries no gradient: x_p - x_p = 0).  With W = C o K,
+    d/dx = 2 gamma (W x - rowsum(W) o x), on column-centred x: the center
+    row cancels, and so does a shared offset.
     """
     z = ins[0]
     nb = np.asarray(aux["neighbors"], dtype=np.int64)
-    gamma = aux.get("gamma")
+    if aux["score"] == "rbf":
+        b, k = nb.shape
+        pairs = (nb[:, :, None] * b + nb[:, None, :]).ravel()
+        w = np.bincount(pairs, weights=np.repeat(g[:, 0], k * k), minlength=b * b).reshape(b, b)
+        del pairs  # the kernel's (b, b) temporaries reuse its memory
+        np.fill_diagonal(w, 0.0)
+        w *= rbf_kernel_matrix(z, aux["gamma"])
+        centred = z - z.mean(axis=0)
+        adj = w @ centred
+        adj -= w.sum(axis=1)[:, None] * centred
+        adj *= 2.0 * aux["gamma"]
+        return adj
     adj = np.zeros_like(z)
     for rows in _row_blocks(*nb.shape, z.shape[1]):
-        edges = z[nb[rows]] - z[rows, None, :]
-        if aux["score"] == "cosine":
-            norms, unit, total = unit_edges(edges, rows.start)
-            along = np.einsum("mkd,md->mk", unit, total)[..., None]
-            ge = (total[:, None, :] - along * unit) * (g[rows, :, None] / norms[..., None])
-            adj[rows] -= ge.sum(axis=1)
-        else:
-            gram = rbf_gram(edges, gamma)
-            rowsum = gram.sum(axis=2)[..., None]
-            ge = (gram @ edges - rowsum * edges) * (2.0 * gamma * g[rows, :, None])
+        norms, unit, total = unit_edges(z[nb[rows]] - z[rows, None, :], rows.start)
+        along = np.einsum("mkd,md->mk", unit, total)[..., None]
+        ge = (total[:, None, :] - along * unit) * (g[rows, :, None] / norms[..., None])
+        adj[rows] -= ge.sum(axis=1)
         adj += _segment_sum(ge.reshape(-1, z.shape[1]), nb[rows].ravel(), z.shape[0])
     return adj
 

@@ -22,7 +22,7 @@ from .geometry import (
     knn_from_sq_distances,
     sq_distance_matrix,
 )
-from .numerics import rbf_gram, unit_edges
+from .numerics import rbf_kernel_matrix, unit_edges
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,13 @@ def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> GramMatrix:
     exactly 1.  A linear kernel with a zero edge has a zero self-kernel and
     raises DegenerateEdgeError.
     """
-    edges = np.asarray(edges, dtype=np.float64)[None]
+    edges = np.asarray(edges, dtype=np.float64)
     if spec.kind == "linear":
-        unit = unit_edges(edges, 0)[1][0]
+        unit = unit_edges(edges[None], 0)[1][0]
         values = unit @ unit.T
         np.fill_diagonal(values, 1.0)
     else:
-        values = rbf_gram(edges, _gamma(spec))[0] + np.eye(edges.shape[1])
+        values = rbf_kernel_matrix(edges, _gamma(spec))
     return GramMatrix(values=values, normalized=True)
 
 

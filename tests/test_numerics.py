@@ -199,6 +199,13 @@ CASES = [
         "curvature", g.leaf(_rand(rng, (7, 3), -1.0, 1.0), param=True),
         neighbors=_neighbor_table(rng, 7, 4), score="rbf", gamma=0.7,
     )),
+    # k = b - 1: every row's neighbors are all other rows, so each pair's
+    # weight in the adjoint collects from the b - 2 rows that hold it
+    ("curvature:rbf:k=b-1", lambda g, rng: g.apply(
+        "curvature", g.leaf(_rand(rng, (7, 3), -1.0, 1.0), param=True),
+        neighbors=np.array([np.delete(np.arange(7), i) for i in range(7)]),
+        score="rbf", gamma=0.7,
+    )),
 ]
 
 # The curvature scores are transcendental: at h=1e-5 central differences of
@@ -206,7 +213,7 @@ CASES = [
 # be ~1e-5 misses 1e-6 relative although the adjoint is exact.  They use the
 # 1e-4 every other curvature gradient check in the suite uses (worst seen
 # over 6000 draws each: 1.2e-5).
-TOLERANCE = {"curvature:cosine": 1e-4, "curvature:rbf": 1e-4}
+TOLERANCE = {"curvature:cosine": 1e-4, "curvature:rbf": 1e-4, "curvature:rbf:k=b-1": 1e-4}
 
 
 def test_every_primitive_has_a_gradient_case():
@@ -296,3 +303,99 @@ def test_reverse_grad_skips_inputs_without_a_parameter(monkeypatch, metric):
     assert pruned.keys() == reference.keys()
     for i in pruned:
         assert np.array_equal(pruned[i], reference[i]), g.nodes[i].name
+
+
+# -- rbf curvature: one batch kernel matrix against the per-row edge kernels --
+
+def _edge_rbf_gram(edges, gamma):
+    """Per-row RBF kernel matrix (m, k, k) of the edges, diagonal zeroed."""
+    sq = np.einsum("mkd,mkd->mk", edges, edges)
+    dist = sq[:, :, None] + sq[:, None, :] - 2.0 * (edges @ edges.transpose(0, 2, 1))
+    gram = np.exp(-gamma * np.maximum(dist, 0.0))
+    diag = np.arange(edges.shape[1])
+    gram[:, diag, diag] = 0.0
+    return gram
+
+
+def _edge_rbf_scores_and_adjoint(z, nb, gamma, g):
+    """The per-row edge formulation over bounded row blocks: a k x k kernel
+    per row from its edges, scores summed over it and the adjoint
+    -2 gamma g (rowsum(K) e - K e) scattered onto the neighbor rows."""
+    scores = np.empty(z.shape[0])
+    adj = np.zeros_like(z)
+    for rows in numerics._row_blocks(*nb.shape, z.shape[1]):
+        edges = z[nb[rows]] - z[rows, None, :]
+        gram = _edge_rbf_gram(edges, gamma)
+        scores[rows] = gram.sum(axis=(1, 2)) / 2.0
+        rowsum = gram.sum(axis=2)[..., None]
+        ge = (gram @ edges - rowsum * edges) * (2.0 * gamma * g[rows, :, None])
+        np.add.at(adj, nb[rows].ravel(), ge.reshape(-1, z.shape[1]))
+    return scores, adj
+
+
+def _rbf_scores_and_adjoint(z, nb, gamma, g):
+    aux = {"neighbors": nb, "score": "rbf", "gamma": gamma}
+    scores = eval_primitive("curvature", [z], **aux)[:, 0]
+    return scores, numerics._BACKWARD["curvature"][0]([z], None, g, aux)
+
+
+def _rel_err(got, want):
+    """Largest deviation relative to the largest reference entry; a
+    reference of exact zeros (k = 2 with both neighbors the same row) must
+    be matched exactly."""
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny)
+
+
+def _rbf_point_sets(rng, b):
+    side = int(np.ceil(np.sqrt(b)))
+    grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)[:b]
+    base = rng.normal(size=(-(-b // 2), 6))
+    return {
+        "random": rng.normal(size=(b, 6)),
+        "grid": grid.astype(np.float64),  # tied distances everywhere
+        "duplicated": np.vstack([base, base])[:b],  # zero edges; rbf scores them
+    }
+
+
+def _rbf_tables(rng, points, k):
+    from curvalign.geometry import knn_euclidean
+
+    b = points.shape[0]
+    tables = {"knn": knn_euclidean(points, k).indices}
+    table = knn_euclidean(points, k).indices.copy()
+    table[:, -1] = table[:, 0]  # a repeated index within every row
+    tables["repeated"] = table
+    hub = np.array([rng.permutation(np.delete(np.arange(b), i))[:k] for i in range(b)])
+    hub[1:, 0] = 0  # row 0 is every other row's neighbor
+    tables["hub"] = hub
+    return tables
+
+
+@pytest.mark.parametrize("b", [3, 64, 256])
+def test_rbf_curvature_equals_the_per_row_edge_formulation(b):
+    from curvalign.rkhs import median_heuristic_gamma
+
+    rng = np.random.default_rng([8, b])
+    for k in sorted({2, min(10, b - 1), b - 1}):
+        for set_name, points in _rbf_point_sets(rng, b).items():
+            gamma = median_heuristic_gamma(points)
+            g = rng.uniform(-1.5, 1.5, size=(b, 1))
+            for table_name, nb in _rbf_tables(rng, points, k).items():
+                want_s, want_adj = _edge_rbf_scores_and_adjoint(points, nb, gamma, g)
+                got_s, got_adj = _rbf_scores_and_adjoint(points, nb, gamma, g)
+                case = f"b={b} k={k} {set_name} {table_name}"
+                assert _rel_err(got_s, want_s) <= 1e-12, case
+                assert _rel_err(got_adj, want_adj) <= 1e-12, case
+
+
+def test_rbf_curvature_is_translation_robust():
+    from curvalign.geometry import knn_euclidean
+
+    rng = np.random.default_rng(30)
+    z = rng.normal(size=(64, 8))
+    nb = knn_euclidean(z, 10).indices
+    g = rng.uniform(0.5, 1.5, size=(64, 1))
+    scores, adj = _rbf_scores_and_adjoint(z, nb, 0.1, g)
+    shifted_scores, shifted_adj = _rbf_scores_and_adjoint(z + 1e3, nb, 0.1, g)
+    assert np.max(np.abs(shifted_scores - scores)) <= 1e-9
+    assert np.max(np.abs(shifted_adj - adj)) <= 1e-9

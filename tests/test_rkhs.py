@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import curvalign.rkhs as rkhs
-from curvalign.errors import CurvalignError, DegenerateEdgeError, ShapeMismatchError
+from curvalign.errors import (
+    CurvalignError,
+    DegenerateEdgeError,
+    NonFiniteError,
+    ShapeMismatchError,
+)
 from curvalign.geometry import (
     EDGE_FLOOR,
     EdgeBundle,
@@ -213,6 +218,16 @@ def test_normalized_gram_invariants():
         assert np.max(np.abs(gram)) <= 1.0 + 1e-12
 
 
+def test_rbf_normalized_gram_is_bit_symmetric_with_unit_diagonal():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        k = int(rng.integers(2, 12))
+        edges = rng.normal(size=(k, int(rng.integers(1, 9)))) + rng.normal(scale=100.0)
+        gram = normalized_gram(edges, KernelSpec("rbf", float(rng.uniform(0.1, 2.0)))).values
+        assert np.array_equal(gram, gram.T)
+        assert np.all(np.diag(gram) == 1.0)
+
+
 def test_normalized_gram_degenerate_linear_only():
     edges = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DegenerateEdgeError):
@@ -278,3 +293,13 @@ def test_rbf_graph_gradient_through_kernel_scores():
     z = g.leaf(pts, param=True)
     out = curvature_scores_graph(z, nb, KernelSpec("rbf", 0.9)).sum()
     assert finite_diff_check(g, out, step=1e-5, tol=1e-4).passed
+
+
+@pytest.mark.parametrize("metric", ["euclidean", KernelSpec("linear"), KernelSpec("rbf", 0.5),
+                                    KernelSpec("rbf")], ids=["euclidean", "linear", "rbf", "rbf-median"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_raise_non_finite_error_naming_the_row(metric, bad):
+    points = np.random.default_rng(24).normal(size=(10, 3))
+    points[6, 1] = bad
+    with pytest.raises(NonFiniteError, match="point row 6 "):
+        batch_curvature(points, 3, metric)
