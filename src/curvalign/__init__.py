@@ -29,6 +29,7 @@ from .losses import (
     cross_correlation,
     curvature_loss,
     curvature_matrix,
+    curvature_penalty,
     standardize_features,
     standardize_scores,
     total_loss,

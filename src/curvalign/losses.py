@@ -4,12 +4,17 @@ Two ingredients, both built on the differentiation graph:
 
 * a redundancy-reduction loss on standardized projected features, pushing
   the two-view cross-correlation matrix toward the identity;
-* the same loss shape applied to the rank-one matrix M of standardized
-  curvature scores, aligning local neighborhood bending across views.
-  Standardized columns give ||M||_F = 1, so at eps = 0 and lambda_curv = 1
-  the term is exactly b + 1 - 2 rho, with rho the Pearson correlation of
-  the two views' scores: its off-diagonal part cannot vanish, and the term
-  does not decorrelate samples, it only raises rho.
+* the same loss shape applied to the rank-one matrix M = (1/b) c~ c~'^T of
+  standardized curvature scores, aligning local neighborhood bending across
+  views.  Standardized columns give ||M||_F = 1, so at eps = 0 and
+  lambda_curv = 1 the term is exactly b + 1 - 2 rho, with rho the Pearson
+  correlation of the two views' scores: its off-diagonal part cannot
+  vanish, and the term does not decorrelate samples, it only raises rho.
+
+Because M is rank one, ``curvature_penalty`` computes that penalty in closed
+form from p = c~ o c~' and two norms, so no (b, b) node reaches the tape;
+``curvature_loss(curvature_matrix(c~, c~'), lambda_curv)`` is its eager
+reference.
 
 All functions here take and return graph Vars so the trainer can
 differentiate end-to-end; ``total_loss_arrays`` is the plain-array
@@ -114,6 +119,22 @@ def curvature_loss(m: Var, lambda_curv: float) -> tuple[Var, Var, Var]:
     return _identity_penalty(m, lambda_curv)
 
 
+def curvature_penalty(ct: Var, ctp: Var, lambda_curv: float) -> tuple[Var, Var, Var]:
+    """``curvature_loss(curvature_matrix(ct, ctp), lambda_curv)`` in O(b).
+
+    With p = ct o ctp the diagonal of M is p / b and its squared entries sum
+    to ||ct||^2 ||ctp||^2 / b^2, so sum((p_i / b - 1)^2) is the diagonal part
+    and (||ct||^2 ||ctp||^2 - ||p||^2) / b^2 the off-diagonal part.
+    """
+    if ct.shape != ctp.shape:
+        raise ShapeMismatchError(f"curvature_penalty: {ct.shape} vs {ctp.shape}")
+    b = ct.shape[0]
+    p = ct * ctp
+    diag_term = (p * (1.0 / b) - 1.0).square().sum()
+    off_term = (ct.square().sum() * ctp.square().sum() - p.square().sum()) * (1.0 / (b * b))
+    return diag_term + off_term * lambda_curv, diag_term, off_term
+
+
 def total_loss(
     z: Var,
     zp: Var,
@@ -148,8 +169,7 @@ def total_loss(
         nbp = knn_metric(zp.value, k, metric)
         ct = standardize_scores(curvature_scores_graph(z, nb, nb.metric), eps)
         ctp = standardize_scores(curvature_scores_graph(zp, nbp, nbp.metric), eps)
-        m = curvature_matrix(ct, ctp)
-        curv_total, curv_diag, curv_off = curvature_loss(m, weights.lambda_curv)
+        curv_total, curv_diag, curv_off = curvature_penalty(ct, ctp, weights.lambda_curv)
         total = total + curv_total * weights.alpha_curv
         curv_parts = (float(curv_diag.value), float(curv_off.value))
     breakdown = LossBreakdown(float(total.value), float(emb_diag.value),

@@ -154,8 +154,9 @@ def _fwd_broadcast_row(a, *, count):
 EDGE_FLOOR = 1e-12
 # elements of one row block's (rows, k, max(d, k)) cosine temporaries, 1 MiB
 # each: a training batch is one or two blocks, and eager scoring of 784-d rows
-# adds MiBs; rbf scores read one (b, b) kernel matrix and need no blocks, and
-# sq_distance_matrix forms that matrix in (rows, b) blocks of the same size
+# adds MiBs; rbf scores read one (b, b) kernel matrix, gathering its neighbor
+# pairs in (rows, k, k) blocks, and sq_distance_matrix forms that matrix in
+# (rows, b) blocks of the same size
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -201,11 +202,18 @@ def rbf_kernel_matrix(points: Array, gamma: float) -> Array:
 
 
 def _rbf_curvature(kernel: Array, neighbors: Array) -> Array:
-    """Sum of kernel[n_a, n_b] over each row's neighbor pairs a < b, (b,)."""
-    pairs = kernel[neighbors[:, :, None], neighbors[:, None, :]]
-    diag = np.arange(neighbors.shape[1])
-    pairs[:, diag, diag] = 0.0
-    return pairs.sum(axis=(1, 2)) / 2.0
+    """Sum of kernel[n_a, n_b] over each row's neighbor pairs a < b, (b,).
+
+    The (rows, k, k) gathered pairs run over row blocks."""
+    k = neighbors.shape[1]
+    diag = np.arange(k)
+    out = np.empty(neighbors.shape[0])
+    for rows in _row_blocks(*neighbors.shape, k):
+        nb = neighbors[rows]
+        pairs = kernel[nb[:, :, None], nb[:, None, :]]
+        pairs[:, diag, diag] = 0.0
+        out[rows] = pairs.sum(axis=(1, 2)) / 2.0
+    return out
 
 
 def unit_edges(edges: Array, first_row: int):
@@ -293,7 +301,8 @@ def _bwd_curvature(ins, out, g, aux):
     batch kernel matrix K whichever row's neighborhood holds it, so the rows
     sum into one pair weight C_pq = sum_i g_i #{(a, b): n_a = p, n_b = q},
     p != q, over the ordered neighbor pairs of each row i (the diagonal
-    carries no gradient: x_p - x_p = 0).  With W = C o K,
+    carries no gradient: x_p - x_p = 0), counted over the same row blocks
+    as the forward's gathered pairs.  With W = C o K,
     d/dx = 2 gamma (W x - rowsum(W) o x), on column-centred x: the center
     row cancels, and so does a shared offset.
     """
@@ -301,9 +310,13 @@ def _bwd_curvature(ins, out, g, aux):
     nb = np.asarray(aux["neighbors"], dtype=np.int64)
     if aux["score"] == "rbf":
         b, k = nb.shape
-        pairs = (nb[:, :, None] * b + nb[:, None, :]).ravel()
-        w = np.bincount(pairs, weights=np.repeat(g[:, 0], k * k), minlength=b * b).reshape(b, b)
-        del pairs  # the kernel's (b, b) temporaries reuse its memory
+        w = None
+        for rows in _row_blocks(b, k, k):
+            pairs = (nb[rows, :, None] * b + nb[rows, None, :]).ravel()
+            part = np.bincount(pairs, weights=np.repeat(g[rows, 0], k * k), minlength=b * b)
+            w = part if w is None else np.add(w, part, out=w)
+        del pairs, part  # the kernel's (b, b) temporaries reuse their memory
+        w = w.reshape(b, b)
         np.fill_diagonal(w, 0.0)
         w *= rbf_kernel_matrix(z, aux["gamma"])
         centred = z - z.mean(axis=0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,13 @@ from curvalign.losses import (
     cross_correlation,
     curvature_loss,
     curvature_matrix,
+    curvature_penalty,
     standardize_features,
     standardize_scores,
     total_loss,
     total_loss_arrays,
 )
-from curvalign.numerics import Graph, finite_diff_check
+from curvalign.numerics import Graph, finite_diff_check, reverse_grad
 from curvalign.rkhs import KernelSpec
 
 from oracles import reference_total_loss
@@ -234,6 +237,52 @@ def test_curvature_penalty_is_b_plus_one_minus_twice_score_correlation():
             assert abs(bd.curv_diag + bd.curv_offdiag - (b + 1 - 2 * rho)) <= 1e-9
 
 
+def _penalty_and_score_gradients(penalty, scores, scores_p, eps):
+    g = Graph()
+    c = g.leaf(scores, param=True)
+    cp = g.leaf(scores_p, param=True)
+    parts = penalty(standardize_scores(c, eps), standardize_scores(cp, eps))
+    grads = reverse_grad(g, parts[0])
+    return [float(v.value) for v in parts], grads[c.idx], grads[cp.idx]
+
+
+@pytest.mark.parametrize("b", [9, 64, 256])
+def test_closed_form_curvature_penalty_equals_the_eager_reference(b):
+    rng = np.random.default_rng([13, b])
+    for metric in ("euclidean", KernelSpec("rbf")):
+        z, zp = rng.normal(size=(b, 4)), rng.normal(size=(b, 4))
+        scores = batch_curvature(z, 3, metric).reshape(-1, 1)
+        views = {"distinct": batch_curvature(zp, 3, metric).reshape(-1, 1),
+                 "identical": scores.copy()}
+        for (view, scores_p), eps, lambda_curv in itertools.product(
+                views.items(), (0.0, 1e-5), (1.0, 0.3, 2.5)):
+            case = f"{metric} {view} eps={eps} lambda_curv={lambda_curv}"
+            got = _penalty_and_score_gradients(
+                lambda ct, ctp: curvature_penalty(ct, ctp, lambda_curv), scores, scores_p, eps)
+            want = _penalty_and_score_gradients(
+                lambda ct, ctp: curvature_loss(curvature_matrix(ct, ctp), lambda_curv),
+                scores, scores_p, eps)
+            for got_part, want_part in zip(got[0], want[0]):  # total, diagonal, off-diagonal
+                assert abs(got_part - want_part) <= 1e-12 * abs(want_part), case
+            # identical views at eps = 0 and lambda_curv = 1 sit at the minimum b - 1, where
+            # the exact gradient is 0; each part's own gradient scales as 1 / std(scores)
+            for got_grad, want_grad, col in zip(got[1:], want[1:], (scores, scores_p)):
+                scale = max(np.max(np.abs(want_grad)), 1.0 / col.std())
+                assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * scale, case
+
+
+def test_total_loss_tape_holds_no_batch_square_node():
+    rng = np.random.default_rng(14)
+    b = 256
+    for metric in ("euclidean", KernelSpec("rbf")):
+        g = Graph()
+        z = g.leaf(rng.normal(size=(b, 4)), param=True)
+        zp = g.leaf(rng.normal(size=(b, 4)), param=True)
+        total_loss(z, zp, k=10, metric=metric)
+        largest = max(g.nodes, key=lambda node: node.value.size)
+        assert largest.value.size < b * b, (metric, largest.op, largest.value.shape)
+
+
 def test_loss_breakdown_invariant():
     rng = np.random.default_rng(8)
     z, zp = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
@@ -248,12 +297,14 @@ def test_loss_breakdown_invariant():
 
 def test_total_loss_gradients_both_metrics():
     rng = np.random.default_rng(9)
+    inputs = [(Weights(), 1e-5), (Weights(0.7, 2.5, 1.3), 0.0), (Weights(1.2, 0.3, 0.8), 1e-5)]
     for metric in ("euclidean", KernelSpec("rbf", 1.0)):
-        g = Graph()
-        z = g.leaf(rng.normal(size=(8, 4)), param=True, name="z")
-        zp = g.leaf(rng.normal(size=(8, 4)), param=True, name="zp")
-        _, total = total_loss(z, zp, k=3, metric=metric)
-        assert finite_diff_check(g, total, step=1e-5, tol=1e-4).passed
+        for weights, eps in inputs:
+            g = Graph()
+            z = g.leaf(rng.normal(size=(8, 4)), param=True, name="z")
+            zp = g.leaf(rng.normal(size=(8, 4)), param=True, name="zp")
+            _, total = total_loss(z, zp, k=3, metric=metric, weights=weights, eps=eps)
+            assert finite_diff_check(g, total, step=1e-5, tol=1e-4).passed, (metric, weights, eps)
 
 
 def test_total_loss_without_curvature_matches_embedding_part():

@@ -388,6 +388,28 @@ def test_rbf_curvature_equals_the_per_row_edge_formulation(b):
                 assert _rel_err(got_adj, want_adj) <= 1e-12, case
 
 
+def test_rbf_curvature_temporaries_stay_bounded_at_large_k():
+    # the gathered pairs, pair index and pair weights grow as b k^2 (127.6 MiB
+    # forward and 254.5 MiB adjoint at b = 256, k = 255 in one block); row
+    # blocks bound them
+    import tracemalloc
+
+    from curvalign.geometry import knn_euclidean
+
+    rng = np.random.default_rng(31)
+    b, k = 256, 255
+    z = rng.normal(size=(b, 6))
+    nb = knn_euclidean(z, k).indices
+    g = rng.uniform(-1.5, 1.5, size=(b, 1))
+    tracemalloc.start()
+    try:
+        _rbf_scores_and_adjoint(z, nb, 0.1, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_rbf_curvature_is_translation_robust():
     from curvalign.geometry import knn_euclidean
 
