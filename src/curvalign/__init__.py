@@ -53,7 +53,6 @@ from .numerics import (
     reverse_grad,
 )
 from .rkhs import (
-    GramMatrix,
     KernelSpec,
     kernel_curvature_score,
     kernel_eval,

@@ -24,6 +24,7 @@ from .errors import (
     InvalidCountsError,
     InvariantViolationError,
     IoFailureError,
+    ShapeMismatchError,
     TruncatedFileError,
 )
 
@@ -291,17 +292,25 @@ def augment_view(x: np.ndarray, policy: AugmentationPolicy, rng: np.random.Gener
     """One stochastic view of a (d,) row or of every row of a (b, d) batch:
     pixel shift (zero-fill), coordinate masking, Gaussian noise, then clamp
     to [0, 1].  Consumes only the given stream, drawing each stage for the
-    whole batch at once; a (d,) row draws exactly as a 1-row batch."""
+    whole batch at once; a (d,) row draws exactly as a 1-row batch.  A set
+    ``image_shape`` must hold exactly d pixels (ShapeMismatchError)."""
     out = np.array(x, dtype=np.float64, ndmin=2)
     b, d = out.shape
-    if policy.image_shape is not None and policy.shift_max > 0:
-        out = _shift_batch(out, policy, rng)
+    if policy.image_shape is not None:
+        rows, cols = policy.image_shape
+        if rows * cols != d:
+            raise ShapeMismatchError(
+                f"image_shape {policy.image_shape} holds {rows * cols} pixels, rows have {d}"
+            )
+        if policy.shift_max > 0:
+            out = _shift_batch(out, policy, rng)
     n_mask = int(policy.mask_fraction * d)
     if n_mask > 0:
         # each row's n_mask smallest uniforms: a uniform draw without replacement
         ranks = rng.random((b, d))
         masked = np.argpartition(ranks, n_mask - 1, axis=1)[:, :n_mask]
         np.put_along_axis(out, masked, 0.0, axis=1)
+        del ranks, masked
     if policy.noise_sigma > 0.0:
         out += rng.normal(0.0, policy.noise_sigma, size=(b, d))
     np.clip(out, 0.0, 1.0, out=out)

@@ -40,12 +40,6 @@ class KernelSpec:
             raise InvariantViolationError(f"rbf_gamma must be > 0 or empty, got {self.gamma!r}")
 
 
-@dataclass
-class GramMatrix:
-    values: np.ndarray  # (k, k)
-    normalized: bool
-
-
 def median_heuristic_gamma(points: np.ndarray) -> float:
     """gamma = 1 / (2 * median(pairwise distance)^2) over the batch.
 
@@ -122,7 +116,7 @@ def knn_rkhs(points: np.ndarray, k: int, spec: KernelSpec) -> NeighborGraph:
     return graph
 
 
-def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> GramMatrix:
+def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel matrix of the edges rescaled to unit diagonal.
 
     For the kernels in scope all entries land in [-1, 1]; the diagonal is
@@ -134,9 +128,8 @@ def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> GramMatrix:
         unit = unit_edges(edges[None], 0)[1][0]
         values = unit @ unit.T
         np.fill_diagonal(values, 1.0)
-    else:
-        values = rbf_kernel_matrix(edges, _gamma(spec))
-    return GramMatrix(values=values, normalized=True)
+        return values
+    return rbf_kernel_matrix(edges, _gamma(spec))
 
 
 def kernel_curvature_score(bundle: EdgeBundle, spec: KernelSpec) -> float:

@@ -2,13 +2,17 @@
 
 The loop is deliberately functional: every step maps (params, state) to new
 values, so identical configs replay bit-identically and nothing the probe
-does can touch encoder weights.
+does can touch encoder weights.  While one step runs, a worker thread
+builds the next batch's two views; the loop joins it before ``on_step``,
+and since every draw is keyed by (epoch, batch, view) the overlap cannot
+change a bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -162,17 +166,34 @@ class History:
 
 def _two_views(
     dataset: Dataset,
-    idx: np.ndarray,
     policy: AugmentationPolicy,
     seed: int,
     epoch: int,
     batch_idx: int,
+    idx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     rows = dataset.features[idx]
     return tuple(
         augment_view(rows, policy, stream(seed, "augment", epoch, batch_idx, view))
         for view in (0, 1)
     )
+
+
+def _first_views(
+    pool: ThreadPoolExecutor,
+    dataset: Dataset,
+    policy: AugmentationPolicy,
+    seed: int,
+    epoch: int,
+    batch_idx: int,
+    idx: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first batch's views side by side, view 1 on the worker and view 0
+    here; both streams are made here, in view order."""
+    rows = dataset.features[idx]
+    rng0, rng1 = (stream(seed, "augment", epoch, batch_idx, view) for view in (0, 1))
+    view1 = pool.submit(augment_view, rows, policy, rng1)
+    return augment_view(rows, policy, rng0), view1.result()
 
 
 def pretrain(
@@ -185,7 +206,11 @@ def pretrain(
     Per batch: draw two augmented views, push both through the shared
     encoder/projector on one graph, assemble the objective, backpropagate,
     take an Adam step.  Neighbor search runs on the current embeddings of
-    each step (never cached across steps).
+    each step (never cached across steps).  The next batch's views, across
+    epoch boundaries too, are built on a worker thread while the step runs;
+    the loop waits for them before ``on_step``, so no background work
+    outlives a step, and an augmentation error is raised there with its
+    own class.
     """
     arch = config.architecture
     if dataset.dim != arch.input_dim:
@@ -196,14 +221,22 @@ def pretrain(
     state = init_adam_state(params)
     plan = BatchPlan(seed=config.seed, batch_size=config.batch_size, min_batch=config.k + 2)
     metric = config.metric_spec()
+    policy = config.augmentation
     history = History()
+    schedule = [
+        (epoch, batch_idx, idx)
+        for epoch in range(config.epochs)
+        for batch_idx, idx in enumerate(batches(len(dataset), plan, epoch))
+    ]
 
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        sums = np.zeros(5)
-        count = 0
-        for batch_idx, idx in enumerate(batches(len(dataset), plan, epoch)):
-            x1, x2 = _two_views(dataset, idx, config.augmentation, config.seed, epoch, batch_idx)
+    started = time.perf_counter()
+    sums = np.zeros(5)
+    count = 0
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        x1, x2 = _first_views(pool, dataset, policy, config.seed, *schedule[0])
+        for (epoch, batch_idx, _), ahead in zip(schedule, schedule[1:] + [None]):
+            if ahead is not None:
+                next_views = pool.submit(_two_views, dataset, policy, config.seed, *ahead)
             graph = Graph()
             leaves = param_leaves(graph, params)
             try:
@@ -224,20 +257,27 @@ def pretrain(
             grads = {
                 name: (by_id[wv.idx], by_id[bv.idx]) for name, (wv, bv) in leaves.items()
             }
+            # Adam is the step's memory peak: release the tape and views first
+            del graph, leaves, by_id, z1, z2, total, x1, x2
             params, state = adam_step(
                 params, grads, state, config.learning_rate, config.weight_decay
             )
+            del grads
             sums += np.asarray(breakdown.as_tuple())
             count += 1
-            # release this step's tape and views before the next batch is augmented
-            del graph, leaves, by_id, z1, z2, total, x1, x2, grads
+            if ahead is not None:
+                x1, x2 = next_views.result()
             if on_step is not None:
                 on_step(epoch, batch_idx, breakdown)
-        mean = sums / max(count, 1)
-        history.append(
-            LossBreakdown(*(float(v) for v in mean), weights=config.weights),
-            time.perf_counter() - started,
-        )
+            if ahead is None or ahead[0] != epoch:
+                mean = sums / count
+                history.append(
+                    LossBreakdown(*(float(v) for v in mean), weights=config.weights),
+                    time.perf_counter() - started,
+                )
+                started = time.perf_counter()
+                sums = np.zeros(5)
+                count = 0
 
     ckpt = Checkpoint(
         architecture=arch,

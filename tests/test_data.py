@@ -22,6 +22,7 @@ from curvalign.errors import (
     BatchTooSmallError,
     CountMismatchError,
     InvalidCountsError,
+    ShapeMismatchError,
     TruncatedFileError,
 )
 
@@ -255,6 +256,36 @@ def test_pretrain_step_builds_one_augment_stream_per_view(monkeypatch):
     )
     trainer.pretrain(config, make_blobs(32, 4, 16, 0.1, seed=2))  # one step
     assert paths == [("augment", 0, 0, 0), ("augment", 0, 0, 1)]
+
+
+def test_pretrain_builds_augment_streams_in_order_across_epochs(monkeypatch):
+    from curvalign import trainer
+    from curvalign.model import Architecture
+
+    paths = []
+
+    def counting_stream(seed, *path):
+        paths.append(path)
+        return stream(seed, *path)
+
+    monkeypatch.setattr(trainer, "stream", counting_stream)
+    config = trainer.TrainConfig(
+        architecture=Architecture(16, (16,), (16, 8)), epochs=2, batch_size=32, k=4, seed=2,
+        augmentation=AugmentationPolicy(0.05, 0.1, 0),
+    )
+    trainer.pretrain(config, make_blobs(64, 4, 16, 0.1, seed=2))  # 2 epochs x 2 batches
+    assert paths == [
+        ("augment", epoch, batch, view) for epoch in (0, 1) for batch in (0, 1) for view in (0, 1)
+    ]
+
+
+@pytest.mark.parametrize("d", [32, 30])
+def test_augment_rejects_an_image_shape_that_does_not_fit_the_rows(d):
+    rows = np.full((3, d), 0.5)
+    policy = AugmentationPolicy(0.1, 0.1, 1, image_shape=(4, 4))
+    with pytest.raises(ShapeMismatchError) as info:
+        augment_view(rows, policy, stream(0, "aug"))
+    assert "16" in str(info.value) and str(d) in str(info.value)
 
 
 def test_batches_cover_and_drop():

@@ -194,15 +194,14 @@ def test_rbf_median_builds_one_distance_matrix_per_point_set(monkeypatch):
 def test_normalized_gram_examples():
     e = np.array([[1.0, 0.0], [0.0, 1.0]])
     lin = normalized_gram(e, KernelSpec("linear"))
-    assert lin.normalized
-    assert np.allclose(lin.values, np.eye(2), atol=1e-15)
+    assert np.allclose(lin, np.eye(2), atol=1e-15)
 
     repeated = np.array([[0.5, 0.5], [2.0, 2.0]])  # same direction, different length
-    assert np.allclose(normalized_gram(repeated, KernelSpec("linear")).values, 1.0, atol=1e-12)
+    assert np.allclose(normalized_gram(repeated, KernelSpec("linear")), 1.0, atol=1e-12)
 
     rbf = normalized_gram(e, KernelSpec("rbf", 0.5))
-    assert rbf.values[0, 1] == pytest.approx(0.36787944117144233, abs=1e-15)
-    assert rbf.values[0, 0] == 1.0 and rbf.values[1, 1] == 1.0
+    assert rbf[0, 1] == pytest.approx(0.36787944117144233, abs=1e-15)
+    assert rbf[0, 0] == 1.0 and rbf[1, 1] == 1.0
 
 
 def test_normalized_gram_invariants():
@@ -212,7 +211,7 @@ def test_normalized_gram_invariants():
         d = int(rng.integers(2, 17))
         edges = rng.normal(size=(k, d))
         spec = KernelSpec("linear") if rng.uniform() < 0.5 else KernelSpec("rbf", float(rng.uniform(0.1, 2.0)))
-        gram = normalized_gram(edges, spec).values
+        gram = normalized_gram(edges, spec)
         assert np.max(np.abs(gram - gram.T)) <= 1e-12
         assert np.max(np.abs(np.diag(gram) - 1.0)) <= 1e-12
         assert np.max(np.abs(gram)) <= 1.0 + 1e-12
@@ -223,7 +222,7 @@ def test_rbf_normalized_gram_is_bit_symmetric_with_unit_diagonal():
     for _ in range(50):
         k = int(rng.integers(2, 12))
         edges = rng.normal(size=(k, int(rng.integers(1, 9)))) + rng.normal(scale=100.0)
-        gram = normalized_gram(edges, KernelSpec("rbf", float(rng.uniform(0.1, 2.0)))).values
+        gram = normalized_gram(edges, KernelSpec("rbf", float(rng.uniform(0.1, 2.0))))
         assert np.array_equal(gram, gram.T)
         assert np.all(np.diag(gram) == 1.0)
 
@@ -233,7 +232,7 @@ def test_normalized_gram_degenerate_linear_only():
     with pytest.raises(DegenerateEdgeError):
         normalized_gram(edges, KernelSpec("linear"))
     # rbf self-kernel is 1 even for a zero edge
-    gram = normalized_gram(edges, KernelSpec("rbf", 1.0)).values
+    gram = normalized_gram(edges, KernelSpec("rbf", 1.0))
     assert gram[0, 0] == 1.0
 
 

@@ -1,7 +1,12 @@
+import threading
+import time
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
-from curvalign.data import AugmentationPolicy, Dataset, make_blobs
+from curvalign import trainer
+from curvalign.data import AugmentationPolicy, Dataset, make_blobs, make_pattern_images
 from curvalign.errors import (
     EmptyDatasetError,
     InvariantViolationError,
@@ -9,7 +14,7 @@ from curvalign.errors import (
     ShapeMismatchError,
 )
 from curvalign.losses import Weights
-from curvalign.model import Architecture, Checkpoint, init_params
+from curvalign.model import Architecture, Checkpoint, init_params, save_checkpoint
 from curvalign.trainer import (
     AdamState,
     TrainConfig,
@@ -224,3 +229,143 @@ def test_history_csv_format(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "0"
     assert float(row[1]) == history.breakdowns()[0].total
+
+
+class _InlineExecutor:
+    """Stands in for the prefetch thread: runs each task when it is submitted."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as err:
+            future.set_exception(err)
+        return future
+
+
+def _prefetch_cases():
+    images = make_pattern_images(256, 4, 8, seed=11, max_shift=2)
+    image_cfg = TrainConfig(
+        architecture=Architecture(64, (32,), (32, 8)), epochs=2, batch_size=64, k=5, seed=11,
+        augmentation=AugmentationPolicy(0.1, 0.1, 2, image_shape=(8, 8)),
+    )
+    blobs = make_blobs(256, 4, 16, 0.05, seed=12)
+    rbf_cfg = _small_config(epochs=2, seed=12, metric="rbf", k=8)
+    return [(image_cfg, images), (rbf_cfg, blobs)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["shifted-images", "rbf-blobs"])
+def test_prefetched_views_train_bit_identically_to_inline_views(case, tmp_path, monkeypatch):
+    config, dataset = _prefetch_cases()[case]
+    runs = []
+    for inline in (False, True):
+        if inline:
+            monkeypatch.setattr(trainer, "ThreadPoolExecutor", _InlineExecutor)
+        ckpt, history = pretrain(config, dataset)
+        path = tmp_path / f"inline{inline}.ckpt"
+        save_checkpoint(ckpt, path)
+        runs.append((path.read_bytes(), [b.as_tuple() for b in history.breakdowns()]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 2
+
+
+class _InjectedError(Exception):
+    pass
+
+
+def _logged_augment(monkeypatch, events, fail_on_call=None):
+    """Wrap trainer.augment_view to log (kind, call, thread) events.  A call
+    off the main thread first sleeps for longer than a step takes, so a
+    view still being built at ``on_step`` would show in the log."""
+    real = trainer.augment_view
+    calls = []
+    main = threading.get_ident()
+
+    def logged(x, policy, rng):
+        call = len(calls)
+        calls.append(call)
+        events.append(("start", call, threading.get_ident()))
+        try:
+            if threading.get_ident() != main:
+                time.sleep(0.02)
+            if call == fail_on_call:
+                raise _InjectedError(f"call {call}")
+            return real(x, policy, rng)
+        finally:
+            events.append(("end", call, threading.get_ident()))
+
+    monkeypatch.setattr(trainer, "augment_view", logged)
+
+
+def test_prefetch_is_joined_before_every_on_step(monkeypatch):
+    events = []
+    _logged_augment(monkeypatch, events)
+    ds = make_blobs(128, 4, 16, 0.05, seed=13)
+    before = threading.active_count()
+    pretrain(_small_config(epochs=2, seed=13, batch_size=32), ds,
+             on_step=lambda e, b, bd: events.append(("on_step", (e, b), threading.get_ident())))
+    assert threading.active_count() == before
+
+    steps = [i for i, ev in enumerate(events) if ev[0] == "on_step"]
+    assert [events[i][1] for i in steps] == [(e, b) for e in (0, 1) for b in range(4)]
+    starts = {ev[1]: i for i, ev in enumerate(events) if ev[0] == "start"}
+    ends = {ev[1]: i for i, ev in enumerate(events) if ev[0] == "end"}
+    assert sorted(starts) == sorted(ends) == list(range(16))
+    for at in steps:
+        assert all(ends[call] < at for call, started in starts.items() if started < at)
+    main = threading.get_ident()
+    on_main = [ev[1] for ev in events if ev[0] == "start" and ev[2] == main]
+    assert len(on_main) == 1 and starts[on_main[0]] < steps[0]  # view 0 of the first batch
+
+
+def test_augmentation_error_surfaces_with_its_class_and_no_thread_survives(monkeypatch):
+    events = []
+    _logged_augment(monkeypatch, events, fail_on_call=3)  # batch 1, built while step 0 runs
+    ds = make_blobs(128, 4, 16, 0.05, seed=14)
+    before = threading.active_count()
+    with pytest.raises(_InjectedError):
+        pretrain(_small_config(seed=14, batch_size=32), ds)
+    assert threading.active_count() == before
+
+
+def test_interrupt_from_on_step_propagates_and_no_thread_survives():
+    ds = make_blobs(128, 4, 16, 0.05, seed=15)
+    interrupt = KeyboardInterrupt("stop")
+
+    def on_step(epoch, batch_idx, breakdown):
+        if (epoch, batch_idx) == (0, 1):
+            raise interrupt
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt) as info:
+        pretrain(_small_config(seed=15, batch_size=32), ds, on_step=on_step)
+    assert info.value is interrupt
+    assert threading.active_count() == before
+
+
+def test_nonfinite_step_leaves_no_thread_behind():
+    ds = make_blobs(128, 4, 16, 0.05, seed=17)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteError):  # raised while the next batch's views are built
+        pretrain(_small_config(epochs=1, seed=17, batch_size=32, learning_rate=1e150), ds)
+    assert threading.active_count() == before
+
+
+def test_pretrain_rejects_an_image_shape_that_does_not_fit_the_rows():
+    ds = make_blobs(128, 4, 32, 0.05, seed=16)
+    policy = AugmentationPolicy(0.05, 0.1, 1, image_shape=(4, 4))  # 16 pixels, 32-d rows
+    config = _small_config(architecture=Architecture(32, (32, 16), (16, 8)), seed=16,
+                           augmentation=policy)
+    before = threading.active_count()
+    with pytest.raises(ShapeMismatchError):
+        pretrain(config, ds)
+    assert threading.active_count() == before
