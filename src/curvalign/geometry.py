@@ -9,13 +9,20 @@ high, spread-out ones score low or negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .errors import InvariantViolationError, KTooLargeError
-from .numerics import EDGE_FLOOR, Graph, Var, edge_curvature, sq_distance_matrix
+from .numerics import (
+    _BLOCK_ELEMENTS,
+    EDGE_FLOOR,
+    Graph,
+    Var,
+    edge_curvature,
+    sq_distance_matrix,
+)
 
 if TYPE_CHECKING:
     from .rkhs import KernelSpec
@@ -26,12 +33,17 @@ class NeighborGraph:
     """Per-row neighbor indices, sorted by ascending distance then index.
 
     ``kernel`` is the resolved KernelSpec of an RKHS kNN, None for a
-    Euclidean one.
+    Euclidean one.  An rbf kNN also keeps the kernel matrix it selected
+    from, ``kernel_matrix``, and the array it was built from, ``points``:
+    scoring that very array under the same spec reads the matrix instead of
+    building it again.
     """
 
     indices: np.ndarray  # (b, k) int64
     source: str = "batch"
     kernel: Optional[KernelSpec] = None
+    points: Optional[np.ndarray] = field(default=None, repr=False)
+    kernel_matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -56,32 +68,53 @@ class EdgeBundle:
     edges: np.ndarray    # (k, d), row a is neighbor_a - center
 
 
-def knn_from_sq_distances(d2: np.ndarray, k: int, source: str) -> NeighborGraph:
+def knn_from_sq_distances(d2: np.ndarray, k: int, source: str,
+                          key: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                          ) -> NeighborGraph:
     """Exact kNN given a full squared-distance matrix.
 
     Self-distances are ignored; ties are broken by ascending point index.
-    Each row's k-th smallest distance comes from a partition; when exactly k
-    entries lie at or below it they are the neighbors, ordered by (distance,
-    index).  Rows whose ties straddle position k fall back to a stable sort.
+    Rows are selected in blocks of at most _BLOCK_ELEMENTS entries, so the
+    temporaries stay bounded and ``d2`` is never copied whole.  ``key``, when
+    given, maps a block of ``d2``'s rows to the distances to select on (the
+    rbf kNN passes its kernel matrix and the RKHS distance as the key).
     """
     b = d2.shape[0]
     if not 1 <= k <= b - 1:
         raise KTooLargeError(f"k={k} requires 1 <= k <= b-1 with b={b}")
-    part = d2.copy()
-    np.fill_diagonal(part, np.inf)  # a point is not its own neighbor
+    indices = np.empty((b, k), dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // b)
+    for first in range(0, b, step):
+        block = d2[first:first + step]
+        indices[first:first + step] = _select(block if key is None else key(block), first, k)
+    return NeighborGraph(indices, source=source)
+
+
+def _select(dist: np.ndarray, first: int, k: int) -> np.ndarray:
+    """The k nearest of rows first, first + 1, ... given their distances (m, b).
+
+    Each row's k-th smallest distance comes from a partition; when exactly k
+    entries lie at or below it they are the neighbors, ordered by (distance,
+    index).  Rows whose ties straddle position k fall back to a stable sort.
+    """
+    m, b = dist.shape
+    rows = np.arange(first, first + m)
+    own = (np.arange(m), rows)  # a point is not its own neighbor
+    part = dist.copy()
+    part[own] = np.inf
     part.partition(k - 1, axis=1)
-    chosen = d2 <= part[:, [k - 1]]
-    np.fill_diagonal(chosen, False)
+    chosen = dist <= part[:, [k - 1]]
+    chosen[own] = False
     tied = np.count_nonzero(chosen, axis=1) != k
     chosen[tied] = False
     cols = np.nonzero(chosen)[1].reshape(-1, k)  # ascending index within a row
-    order = np.argsort(d2[np.flatnonzero(~tied)[:, None], cols], axis=1, kind="stable")
-    indices = np.empty((b, k), dtype=np.int64)
+    order = np.argsort(dist[np.flatnonzero(~tied)[:, None], cols], axis=1, kind="stable")
+    indices = np.empty((m, k), dtype=np.int64)
     indices[~tied] = np.take_along_axis(cols, order, axis=1)
-    rows = np.flatnonzero(tied)
-    order = np.argsort(d2[rows], axis=1, kind="stable")
-    indices[rows] = order[order != rows[:, None]].reshape(rows.size, b - 1)[:, :k]
-    return NeighborGraph(indices, source=source)
+    tied_rows = np.flatnonzero(tied)
+    order = np.argsort(dist[tied_rows], axis=1, kind="stable")
+    indices[tied_rows] = order[order != rows[tied_rows, None]].reshape(tied_rows.size, b - 1)[:, :k]
+    return indices
 
 
 def knn_euclidean(points: np.ndarray, k: int, source: str = "batch") -> NeighborGraph:
@@ -154,6 +187,11 @@ def curvature_scores_graph(z: Var, neighbors: NeighborGraph, metric="euclidean")
 
     Neighbor selection is fixed; gradients flow through the center and the
     selected neighbor coordinates only.  ``metric`` must be "euclidean" or a
-    KernelSpec with a concrete bandwidth.
+    KernelSpec with a concrete bandwidth.  The kernel matrix of an rbf kNN
+    under the same spec goes along; the primitive reads it only if the kNN
+    was built from the very array z holds.
     """
-    return z.graph.apply("curvature", z, neighbors=neighbors.indices, **_score_aux(metric))
+    aux = _score_aux(metric)
+    if neighbors.kernel_matrix is not None and neighbors.kernel == metric:
+        aux["kernel"] = (neighbors.points, neighbors.kernel_matrix)
+    return z.graph.apply("curvature", z, neighbors=neighbors.indices, **aux)

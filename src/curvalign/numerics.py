@@ -8,13 +8,20 @@ curvature terms).  ``reverse_grad`` walks the tape backwards once and
 accumulates adjoints in a fixed order, which makes repeated runs
 bit-identical.
 
+Each node records at build time whether it depends on a parameter leaf.
+Only such a node can carry gradient, so only its forward rule keeps saved
+residuals: what its adjoint would otherwise recompute (the curvature
+kernel matrix, or its unit edges and norms).  Eager evaluation saves
+nothing.
+
 Only the primitives below exist; there is no general broadcasting.  Shapes
 are scalars ``()``, vectors ``(n,)`` and matrices ``(m, n)``; ``curvature``
 maps embeddings (b, d) to one kNN curvature score per row (b, 1).  Its
 cosine scores run over bounded row blocks of (rows, k, d) edge tensors; its
 RBF scores read every neighbor pair's kernel value from one (b, b) kernel
-matrix of the batch, built from ``sq_distance_matrix``, the gram expansion
-every kNN and bandwidth in the package also builds from.
+matrix of the batch: the one the rbf kNN built from the same array when it
+lends it, else one built here from ``sq_distance_matrix`` of the centred
+points, the gram expansion every kNN and bandwidth in the package uses.
 """
 
 from __future__ import annotations
@@ -155,8 +162,8 @@ EDGE_FLOOR = 1e-12
 # elements of one row block's (rows, k, max(d, k)) cosine temporaries, 1 MiB
 # each: a training batch is one or two blocks, and eager scoring of 784-d rows
 # adds MiBs; rbf scores read one (b, b) kernel matrix, gathering its neighbor
-# pairs in (rows, k, k) blocks, and sq_distance_matrix forms that matrix in
-# (rows, b) blocks of the same size
+# pairs in (rows, k, k) blocks, and sq_distance_matrix and the kNN selection
+# work on that matrix in (rows, b) blocks of the same size
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -176,9 +183,7 @@ def sq_distance_matrix(points: Array) -> Array:
     points = np.asarray(points, dtype=np.float64)
     sq = points @ points.T
     diag = sq.diagonal().copy()
-    if not np.all(np.isfinite(diag)):
-        row = int(np.flatnonzero(~np.isfinite(diag))[0])
-        raise NonFiniteError(f"point row {row} has a non-finite squared norm")
+    _require_finite_rows(diag)
     step = max(1, _BLOCK_ELEMENTS // max(1, sq.shape[0]))
     for i in range(0, sq.shape[0], step):
         rows = sq[i:i + step]
@@ -187,18 +192,41 @@ def sq_distance_matrix(points: Array) -> Array:
     return np.maximum(sq, 0.0, out=sq)
 
 
+def _require_finite_rows(sq_norms: Array) -> None:
+    if not np.all(np.isfinite(sq_norms)):
+        row = int(np.flatnonzero(~np.isfinite(sq_norms))[0])
+        raise NonFiniteError(f"point row {row} has a non-finite squared norm")
+
+
+def centred(points: Array) -> Array:
+    """The points minus their column means, a new array.
+
+    A shared offset cancels in every difference, and centring keeps the gram
+    expansion's magnitudes at the spread of the points.  Each row's squared
+    norm is checked first: centring would spread one non-finite row over
+    every row, and the NonFiniteError names the row that holds it.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    _require_finite_rows(np.einsum("ij,ij->i", points, points))
+    return points - points.mean(axis=0)
+
+
+def rbf_kernel_from_sq(sq: Array, gamma: float) -> Array:
+    """exp(-gamma sq), written over the squared-distance matrix ``sq``."""
+    if gamma is None or not gamma > 0.0:
+        raise ValueError("rbf curvature needs a positive gamma; resolve the spec first")
+    np.multiply(sq, -gamma, out=sq)
+    return np.exp(sq, out=sq)
+
+
 def rbf_kernel_matrix(points: Array, gamma: float) -> Array:
     """exp(-gamma ||x_p - x_q||^2) over all row pairs (b, b); diagonal exactly 1.
 
-    The distances are the gram expansion of the column-centred points: a
-    shared offset cancels in every difference, and centring keeps the
-    expansion's magnitudes at the spread of the points.
+    The distances are the gram expansion of the column-centred points, the
+    same steps ``rkhs.knn_rkhs`` takes, so the two matrices are equal bit
+    for bit.
     """
-    if gamma is None or not gamma > 0.0:
-        raise ValueError("rbf curvature needs a positive gamma; resolve the spec first")
-    kernel = sq_distance_matrix(points - points.mean(axis=0))
-    np.multiply(kernel, -gamma, out=kernel)
-    return np.exp(kernel, out=kernel)
+    return rbf_kernel_from_sq(sq_distance_matrix(centred(points)), gamma)
 
 
 def _rbf_curvature(kernel: Array, neighbors: Array) -> Array:
@@ -228,6 +256,11 @@ def unit_edges(edges: Array, first_row: int):
     return norms, unit, unit.sum(axis=1)
 
 
+def _cosine_curvature(unit: Array, total: Array) -> Array:
+    """(||s||^2 - sum_a ||u_a||^2) / 2 per row, from unit_edges' u_a and s."""
+    return (np.einsum("md,md->m", total, total) - np.einsum("mkd,mkd->m", unit, unit)) / 2.0
+
+
 def edge_curvature(edges: Array, score: str, gamma: Optional[float] = None,
                    first_row: int = 0) -> Array:
     """Curvature score of each row of stacked edge vectors (m, k, d).
@@ -242,8 +275,7 @@ def edge_curvature(edges: Array, score: str, gamma: Optional[float] = None,
     if edges.shape[1] < 2:
         raise ValueError("curvature needs at least two edges")
     if score == "cosine":
-        _, unit, total = unit_edges(edges, first_row)
-        return (np.einsum("md,md->m", total, total) - np.einsum("mkd,mkd->m", unit, unit)) / 2.0
+        return _cosine_curvature(*unit_edges(edges, first_row)[1:])
     if score == "rbf":
         every_edge = np.arange(edges.shape[1])[None]  # one row, all k edges its neighbors
         return np.concatenate([_rbf_curvature(rbf_kernel_matrix(e, gamma), every_edge)
@@ -251,21 +283,36 @@ def edge_curvature(edges: Array, score: str, gamma: Optional[float] = None,
     raise ValueError(f"unknown curvature score {score!r}")
 
 
-def _fwd_curvature(z, *, neighbors, score, gamma=None):
+def _fwd_curvature(z, *, neighbors, score, gamma=None, kernel=None, save=False):
+    """Scores (b, 1) and, with ``save``, the residuals the adjoint reads.
+
+    ``kernel`` is an rbf kNN's (points, K) pair: K is used only when
+    ``points`` is the very array ``z``, so a re-evaluation on other inputs
+    (``forward_values``, finite differences) builds its own.  Saved: K for
+    rbf; each row block's (norms, unit edges, their sum) for cosine.
+    """
     _require_2d(z, "curvature")
     nb = np.asarray(neighbors, dtype=np.int64)
     if nb.ndim != 2 or nb.shape[0] != z.shape[0]:
         raise ShapeMismatchError(f"curvature: neighbors {nb.shape} for {z.shape[0]} rows")
     if nb.size and (nb.min() < 0 or nb.max() >= z.shape[0]):
         raise ShapeMismatchError(f"curvature: neighbor index out of range for {z.shape[0]} rows")
+    if nb.shape[1] < 2:
+        raise ValueError("curvature needs at least two edges")
     if score == "rbf":
-        if nb.shape[1] < 2:
-            raise ValueError("curvature needs at least two edges")
-        return _rbf_curvature(rbf_kernel_matrix(z, gamma), nb)[:, None]
+        lent = kernel is not None and kernel[0] is z
+        matrix = kernel[1] if lent else rbf_kernel_matrix(z, gamma)
+        return _rbf_curvature(matrix, nb)[:, None], matrix if save else None
+    if score != "cosine":
+        raise ValueError(f"unknown curvature score {score!r}")
     out = np.empty((z.shape[0], 1))
+    blocks = []
     for rows in _row_blocks(*nb.shape, z.shape[1]):
-        out[rows, 0] = edge_curvature(z[nb[rows]] - z[rows, None, :], score, gamma, rows.start)
-    return out
+        norms, unit, total = unit_edges(z[nb[rows]] - z[rows, None, :], rows.start)
+        out[rows, 0] = _cosine_curvature(unit, total)
+        if save:
+            blocks.append((norms, unit, total))
+    return out, blocks if save else None
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +320,8 @@ def _fwd_curvature(z, *, neighbors, score, gamma=None):
 # ---------------------------------------------------------------------------
 # one rule per input maps (input values, cached output, upstream adjoint,
 # aux) to that input's adjoint; reverse_grad calls only the rules of inputs
-# that depend on a parameter leaf
+# that depend on a parameter leaf, with the forward's saved residuals, if
+# any, as aux["saved"]
 
 def _segment_sum(values: Array, rows, n: int) -> Array:
     """Rows of ``values`` (m, d) summed into n rows by index, each output
@@ -295,19 +343,23 @@ def _bwd_std_rows(ins, out, g, aux):
 def _bwd_curvature(ins, out, g, aux):
     """Closed-form adjoint of the curvature scores.
 
+    It reads the forward's saved residuals (``aux["saved"]``, which
+    ``reverse_grad`` passes), or runs the forward again to get them when
+    called without.
     cosine: d/de_a = g (s - (u_a . s) u_a) / ||e_a||, added to the neighbor row
-    and subtracted from the center row, over bounded row blocks.
+    and subtracted from the center row, over the forward's row blocks.
     rbf: each pair term K_pq = exp(-gamma ||x_p - x_q||^2) is one entry of the
     batch kernel matrix K whichever row's neighborhood holds it, so the rows
     sum into one pair weight C_pq = sum_i g_i #{(a, b): n_a = p, n_b = q},
     p != q, over the ordered neighbor pairs of each row i (the diagonal
     carries no gradient: x_p - x_p = 0), counted over the same row blocks
-    as the forward's gathered pairs.  With W = C o K,
+    as the forward's gathered pairs.  With W = C o K (K the saved matrix),
     d/dx = 2 gamma (W x - rowsum(W) o x), on column-centred x: the center
     row cancels, and so does a shared offset.
     """
     z = ins[0]
     nb = np.asarray(aux["neighbors"], dtype=np.int64)
+    saved = aux["saved"] if "saved" in aux else _fwd_curvature(z, save=True, **aux)[1]
     if aux["score"] == "rbf":
         b, k = nb.shape
         w = None
@@ -315,18 +367,17 @@ def _bwd_curvature(ins, out, g, aux):
             pairs = (nb[rows, :, None] * b + nb[rows, None, :]).ravel()
             part = np.bincount(pairs, weights=np.repeat(g[rows, 0], k * k), minlength=b * b)
             w = part if w is None else np.add(w, part, out=w)
-        del pairs, part  # the kernel's (b, b) temporaries reuse their memory
+        del pairs, part  # the centred points and products reuse their memory
         w = w.reshape(b, b)
         np.fill_diagonal(w, 0.0)
-        w *= rbf_kernel_matrix(z, aux["gamma"])
-        centred = z - z.mean(axis=0)
-        adj = w @ centred
-        adj -= w.sum(axis=1)[:, None] * centred
+        w *= saved
+        centred_z = z - z.mean(axis=0)
+        adj = w @ centred_z
+        adj -= w.sum(axis=1)[:, None] * centred_z
         adj *= 2.0 * aux["gamma"]
         return adj
     adj = np.zeros_like(z)
-    for rows in _row_blocks(*nb.shape, z.shape[1]):
-        norms, unit, total = unit_edges(z[nb[rows]] - z[rows, None, :], rows.start)
+    for rows, (norms, unit, total) in zip(_row_blocks(*nb.shape, z.shape[1]), saved):
         along = np.einsum("mkd,md->mk", unit, total)[..., None]
         ge = (total[:, None, :] - along * unit) * (g[rows, :, None] / norms[..., None])
         adj[rows] -= ge.sum(axis=1)
@@ -377,22 +428,30 @@ _BACKWARD: dict[str, tuple[Callable, ...]] = {
 }
 
 PRIMITIVES = tuple(sorted(_FORWARD))
+# forward rules that take ``save`` and return (value, saved residuals)
+_SAVING = frozenset({"curvature"})
 
 
-def eval_primitive(kind: str, inputs: list[Array], **aux) -> Array:
+def eval_primitive(kind: str, inputs: list[Array], *, save: bool = False, **aux):
     """Evaluate one primitive on concrete arrays.
 
     Pure: inputs are never mutated.  Raises ShapeMismatchError for
     incompatible extents and NonFiniteError if the result contains NaN/Inf.
+    With ``save`` it returns (value, saved): the residuals the primitive's
+    adjoint reads instead of recomputing them, None for a primitive that
+    saves nothing.
     """
     if kind not in _FORWARD:
         raise KeyError(f"unknown primitive {kind!r}")
     vals = [_as_f64(x) for x in inputs]
     with np.errstate(all="ignore"):  # finiteness is checked explicitly below
-        out = _FORWARD[kind](*vals, **aux)
+        if kind in _SAVING:
+            out, saved = _FORWARD[kind](*vals, save=save, **aux)
+        else:
+            out, saved = _FORWARD[kind](*vals, **aux), None
     out = np.asarray(out, dtype=np.float64)
     _require_finite(out, f"primitive {kind!r}")
-    return out
+    return (out, saved) if save else out
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +466,8 @@ class Node:
     value: Array                 # cached forward value
     param: bool = False
     name: Optional[str] = None
+    active: bool = False         # depends on a parameter leaf, set at build time
+    saved: object = None         # the forward's residuals, kept on active nodes only
 
 
 class Var:
@@ -509,14 +570,16 @@ class Graph:
     def leaf(self, value, *, param: bool = False, name: Optional[str] = None) -> Var:
         arr = _as_f64(value)
         _require_finite(arr, "leaf")
-        self.nodes.append(Node("leaf", (), {}, arr, param=param, name=name))
+        self.nodes.append(Node("leaf", (), {}, arr, param=param, name=name, active=param))
         return Var(self, len(self.nodes) - 1)
 
     def apply(self, op: str, *args: Var, **aux) -> Var:
         ids = tuple(a.idx for a in args)
         vals = [self.nodes[i].value for i in ids]
-        out = eval_primitive(op, vals, **aux)
-        self.nodes.append(Node(op, ids, aux, out))
+        active = any(self.nodes[i].active for i in ids)
+        result = eval_primitive(op, vals, save=active, **aux)
+        out, saved = result if active else (result, None)
+        self.nodes.append(Node(op, ids, aux, out, active=active, saved=saved))
         return Var(self, len(self.nodes) - 1)
 
     def param_leaves(self) -> list[int]:
@@ -525,8 +588,9 @@ class Graph:
     def forward_values(self, overrides: Optional[dict[int, Array]] = None) -> list[Array]:
         """Re-evaluate the whole tape, optionally overriding leaf values.
 
-        Does not touch the cached values; used by finite differencing and by
-        the cache-consistency tests.
+        Does not touch the cached values or the saved residuals, and
+        recomputes every node from its re-evaluated inputs; used by finite
+        differencing and by the cache-consistency tests.
         """
         overrides = overrides or {}
         vals: list[Array] = []
@@ -552,18 +616,17 @@ def reverse_grad(graph: Graph, output: Var) -> dict[int, Array]:
 
     Returns a map node-id -> adjoint array.  Leaves the output does not
     depend on get explicit zero gradients.  Only nodes that depend on a
-    parameter leaf get adjoints (activity analysis): the backward rules of
-    constants and data never run, and no adjoint is computed for an input
-    that depends on no parameter.  Accumulation order is fixed by node
-    index, so repeated calls are bit-identical.
+    parameter leaf get adjoints, read from each node's ``active`` flag that
+    ``Graph.apply`` set at build time: the backward rules of constants and
+    data never run, and no adjoint is computed for an input that depends on
+    no parameter.  A rule whose forward saved residuals gets them as
+    ``aux["saved"]``.  Accumulation order is fixed by node index, so
+    repeated calls are bit-identical.
     """
     _check_scalar(graph, output)
     nodes = graph.nodes
-    active: list[bool] = []
-    for node in nodes[: output.idx + 1]:
-        active.append(node.param or any(active[j] for j in node.inputs))
     adjoints: dict[int, Array] = {}
-    if active[output.idx]:
+    if nodes[output.idx].active:
         adjoints[output.idx] = np.ones_like(nodes[output.idx].value)
     for i in range(output.idx, -1, -1):
         node = nodes[i]
@@ -573,9 +636,10 @@ def reverse_grad(graph: Graph, output: Var) -> dict[int, Array]:
         if g is None:
             continue
         ins = [nodes[j].value for j in node.inputs]
+        aux = node.aux if node.saved is None else {**node.aux, "saved": node.saved}
         for j, rule in zip(node.inputs, _BACKWARD[node.op]):
-            if active[j]:
-                contrib = rule(ins, node.value, g, node.aux)
+            if nodes[j].active:
+                contrib = rule(ins, node.value, g, aux)
                 adjoints[j] = adjoints[j] + contrib if j in adjoints else contrib
     result: dict[int, Array] = {}
     for i in graph.param_leaves():

@@ -22,7 +22,7 @@ from .geometry import (
     knn_from_sq_distances,
     sq_distance_matrix,
 )
-from .numerics import rbf_kernel_matrix, unit_edges
+from .numerics import centred, rbf_kernel_from_sq, rbf_kernel_matrix, unit_edges
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,12 @@ class KernelSpec:
 def median_heuristic_gamma(points: np.ndarray) -> float:
     """gamma = 1 / (2 * median(pairwise distance)^2) over the batch.
 
-    Falls back to 1.0 when the points are (numerically) all identical.
-    ``knn_rkhs`` takes the same bandwidth from the distance matrix it
-    already built for the kNN, so it does not call this.
+    Falls back to 1.0 when the points are (numerically) all identical.  The
+    distances come from the column-centred points, as in ``knn_rkhs``,
+    which takes the same bandwidth, bit for bit, from the distance matrix
+    it builds for the kNN, so it does not call this.
     """
-    return _median_gamma(sq_distance_matrix(points))
+    return _median_gamma(sq_distance_matrix(centred(points)))
 
 
 def _median_gamma(sq: np.ndarray) -> float:
@@ -96,24 +97,33 @@ def rkhs_distance(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
 def knn_rkhs(points: np.ndarray, k: int, spec: KernelSpec) -> NeighborGraph:
     """Brute-force kNN under the RKHS distance; same tie rule as knn_euclidean.
 
-    One squared-distance matrix feeds both the median-heuristic bandwidth
-    (when ``spec`` leaves it unset) and the kNN: the rbf transform
-    max(2 - 2 exp(-gamma sq), 0) runs in place on it.  The returned graph
-    records the resolved spec as ``kernel``.
+    The linear kernel's RKHS distance is the Euclidean one.  For rbf, one
+    squared-distance matrix of the column-centred points feeds the
+    median-heuristic bandwidth (when ``spec`` leaves it unset), then turns
+    into the kernel matrix K = exp(-gamma sq) in place; the kNN selects on
+    the RKHS distance max(2 - 2K, 0), formed one row block at a time.  The
+    returned graph records the resolved spec as ``kernel``, and for rbf
+    keeps K and ``points`` so that scoring these points reads K.
     """
     points = np.asarray(points, dtype=np.float64)
-    d2 = sq_distance_matrix(points)
-    if spec.kind == "rbf":
+    if spec.kind == "linear":
+        graph = knn_from_sq_distances(sq_distance_matrix(points), k, source="rkhs:linear")
+    else:
+        kernel = sq_distance_matrix(centred(points))
         if spec.gamma is None:
-            spec = KernelSpec("rbf", _median_gamma(d2))
-        np.multiply(d2, -spec.gamma, out=d2)
-        np.exp(d2, out=d2)
-        np.multiply(d2, 2.0, out=d2)
-        np.subtract(2.0, d2, out=d2)
-        np.maximum(d2, 0.0, out=d2)
-    graph = knn_from_sq_distances(d2, k, source=f"rkhs:{spec.kind}")
+            spec = KernelSpec("rbf", _median_gamma(kernel))
+        rbf_kernel_from_sq(kernel, spec.gamma)
+        graph = knn_from_sq_distances(kernel, k, source="rkhs:rbf", key=_rkhs_sq_distance)
+        graph.points, graph.kernel_matrix = points, kernel
     graph.kernel = spec
     return graph
+
+
+def _rkhs_sq_distance(kernel_rows: np.ndarray) -> np.ndarray:
+    """max(2 - 2K, 0) of rows of an rbf kernel matrix, a new array."""
+    out = np.multiply(kernel_rows, 2.0)
+    np.subtract(2.0, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> np.ndarray:

@@ -10,6 +10,7 @@ from curvalign.geometry import (
     curvature_scores_graph,
     edge_bundle,
     knn_euclidean,
+    knn_metric,
 )
 from curvalign.numerics import Graph, finite_diff_check
 from curvalign.rkhs import KernelSpec
@@ -60,6 +61,43 @@ def test_knn_tie_heavy_matches_full_sort_oracle():
         k = int(rng.integers(1, min(b, 9)))
         grid = rng.integers(0, 3, size=(b, d)).astype(np.float64)
         assert np.array_equal(knn_euclidean(grid, k).indices, knn_full_sort(grid, k))
+
+
+def test_knn_selection_in_row_blocks_matches_full_sort_oracle(monkeypatch):
+    # blocks of a few rows: every batch below spans several, and ties
+    # straddle the k-th neighbor within and across them
+    import curvalign.geometry as geometry
+
+    monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 64)
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        b = int(rng.integers(4, 65))
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(b, 9)))
+        for pts in (rng.uniform(-1, 1, size=(b, d)),
+                    rng.integers(0, 3, size=(b, d)).astype(np.float64)):
+            assert np.array_equal(knn_euclidean(pts, k).indices, knn_full_sort(pts, k))
+
+
+def test_eager_scoring_saves_no_residuals():
+    # the cosine residuals of 1024 x 784 rows at k = 10 would hold 64 MiB of
+    # unit edges; scoring without a parameter keeps none of them
+    import tracemalloc
+
+    points = np.random.default_rng(14).normal(size=(1024, 784))
+    for metric in ("euclidean", KernelSpec("rbf")):
+        nb = knn_metric(points, 10, metric)
+        g = Graph()
+        curvature_scores_graph(g.leaf(points), nb, nb.metric)
+        assert not any(n.active or n.saved is not None for n in g.nodes)
+        del g, nb
+        tracemalloc.start()
+        try:
+            batch_curvature(points, 10, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, f"{metric}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_neighbor_graph_validation():

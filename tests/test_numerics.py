@@ -305,6 +305,74 @@ def test_reverse_grad_skips_inputs_without_a_parameter(monkeypatch, metric):
         assert np.array_equal(pruned[i], reference[i]), g.nodes[i].name
 
 
+# -- saved residuals: kept on nodes that depend on a parameter only --------
+
+@pytest.mark.parametrize("lend", [False, True], ids=["case", "from-knn"])
+@pytest.mark.parametrize("name", ["curvature:cosine", "curvature:rbf"])
+def test_curvature_residuals_are_saved_and_pass_finite_differences(monkeypatch, name, lend):
+    from curvalign.geometry import curvature_scores_graph, knn_metric
+
+    def forward_again(*args, **kwargs):
+        raise AssertionError("the adjoint ran the forward again")
+
+    for trial in range(3):
+        rng = np.random.default_rng([zlib.crc32(name.encode()), trial, 1])
+        g = Graph()
+        if lend:  # scored from a kNN of the leaf: an rbf kNN lends its matrix
+            z = g.leaf(_rand(rng, (9, 3), -1.0, 1.0), param=True)
+            metric = KernelSpec("rbf") if name == "curvature:rbf" else "euclidean"
+            nb = knn_metric(z.value, 4, metric)
+            scores = curvature_scores_graph(z, nb, nb.metric)
+            assert ("kernel" in g.nodes[scores.idx].aux) == (name == "curvature:rbf")
+        else:
+            scores = dict(CASES)[name](g, rng)
+        node = g.nodes[scores.idx]
+        assert node.active and node.saved is not None
+        out = _scalarize(g, rng, scores)
+        with monkeypatch.context() as patch:  # the adjoint reads the saved residuals
+            patch.setattr(numerics, "_fwd_curvature", forward_again)
+            reverse_grad(g, out)
+        report = finite_diff_check(g, out, step=1e-5, tol=TOLERANCE[name])
+        assert report.passed, f"{name} trial {trial}: {report.per_leaf}"
+
+        leaf = node.inputs[0]
+        other = g.nodes[leaf].value + rng.uniform(-0.1, 0.1, size=g.nodes[leaf].value.shape)
+        aux = {key: v for key, v in node.aux.items() if key != "kernel"}
+        fresh = eval_primitive("curvature", [other], **aux)
+        assert np.array_equal(g.forward_values({leaf: other})[scores.idx], fresh)
+
+
+def test_rbf_training_step_builds_one_distance_matrix_per_view(monkeypatch):
+    # the kNN's matrix serves the bandwidth, the selection, the scores and
+    # the adjoint: no second matrix anywhere in the step
+    from curvalign import geometry, rkhs
+    from curvalign.data import AugmentationPolicy, make_blobs
+    from curvalign.model import Architecture
+    from curvalign.trainer import TrainConfig, pretrain
+
+    built = []
+
+    def counting(fn):
+        def wrapped(points):
+            built.append(np.shape(points))
+            return fn(points)
+        return wrapped
+
+    def unexpected(points, gamma):
+        raise AssertionError("rbf_kernel_matrix called")
+
+    for module in (numerics, geometry, rkhs):
+        monkeypatch.setattr(module, "sq_distance_matrix", counting(module.sq_distance_matrix))
+    monkeypatch.setattr(numerics, "rbf_kernel_matrix", unexpected)
+    steps = []
+    config = TrainConfig(architecture=Architecture(8, (16,), (16, 4)), epochs=1,
+                         batch_size=32, k=5, metric="rbf", seed=3,
+                         augmentation=AugmentationPolicy(0.05, 0.1, 0))
+    pretrain(config, make_blobs(32, 2, 8, 0.1, seed=3), on_step=lambda *a: steps.append(a))
+    assert len(steps) == 1
+    assert built == [(32, 4), (32, 4)]
+
+
 # -- rbf curvature: one batch kernel matrix against the per-row edge kernels --
 
 def _edge_rbf_gram(edges, gamma):

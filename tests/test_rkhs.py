@@ -13,6 +13,7 @@ from curvalign.errors import (
 from curvalign.geometry import (
     EDGE_FLOOR,
     EdgeBundle,
+    NeighborGraph,
     batch_curvature,
     curvature_score,
     curvature_scores_graph,
@@ -132,11 +133,14 @@ def _scores_or_error(score):
 
 
 def test_one_matrix_rbf_knn_is_bit_identical_to_two_passes(monkeypatch):
+    # the reference takes two passes over the column-centred points; the
+    # neighbors must also equal those of the uncentred selection the kNN
+    # made before it moved to the centred expansion
     selected = []  # the RKHS distances knn_rkhs selects from
 
-    def recording(d2, k, source):
-        selected.append(d2.copy())
-        return knn_from_sq_distances(d2, k, source)
+    def recording(d2, k, source, key=None):
+        selected.append(d2.copy() if key is None else key(d2))
+        return knn_from_sq_distances(d2, k, source, key)
 
     monkeypatch.setattr(rkhs, "knn_from_sq_distances", recording)
     rng = np.random.default_rng(21)
@@ -152,15 +156,21 @@ def test_one_matrix_rbf_knn_is_bit_identical_to_two_passes(monkeypatch):
         (np.full((5, 2), 0.7), 2),  # all identical: gamma falls back to 1.0
     ]
     for points, k in cases:
-        gamma = _two_pass_gamma(points)
-        d2 = _two_pass_sq_distances(points, gamma)
+        centred = points - points.mean(axis=0)
+        gamma = _two_pass_gamma(centred)
+        d2 = _two_pass_sq_distances(centred, gamma)
+        uncentred = knn_from_sq_distances(
+            _two_pass_sq_distances(points, _two_pass_gamma(points)), k, source="rkhs:rbf")
         old = knn_from_sq_distances(d2, k, source="rkhs:rbf")
         selected.clear()
         new = knn_rkhs(points, k, KernelSpec("rbf"))
         assert median_heuristic_gamma(points) == gamma
+        assert resolve_spec(KernelSpec("rbf"), points).gamma == gamma
         assert new.kernel == KernelSpec("rbf", gamma)
+        assert np.array_equal(new.kernel_matrix, np.exp(-gamma * sq_distance_matrix(centred)))
         assert np.array_equal(selected[0], d2)
         assert np.array_equal(new.indices, old.indices)
+        assert np.array_equal(new.indices, uncentred.indices)
         if k < 2:
             continue
         old_scores = _scores_or_error(lambda: curvature_scores_graph(
@@ -189,6 +199,39 @@ def test_rbf_median_builds_one_distance_matrix_per_point_set(monkeypatch):
     built.clear()
     total_loss_arrays(z, zp, 3, metric=KernelSpec("rbf"))
     assert built == [(16, 4), (16, 4)]
+
+
+def test_neighbor_graph_lends_its_kernel_matrix_only_to_its_own_points(monkeypatch):
+    from curvalign import numerics
+
+    built = []
+    original = numerics.rbf_kernel_matrix
+
+    def counting(points, gamma):
+        built.append(gamma)
+        return original(points, gamma)
+
+    monkeypatch.setattr(numerics, "rbf_kernel_matrix", counting)
+    points = np.random.default_rng(25).normal(size=(20, 3))
+    nb = knn_rkhs(points, 4, KernelSpec("rbf"))
+    spec = nb.kernel
+    plain = NeighborGraph(nb.indices)  # the same neighbors without a matrix
+
+    def scores(z, neighbors, metric):
+        return curvature_scores_graph(Graph().leaf(z), neighbors, metric).value[:, 0]
+
+    lent = scores(points, nb, spec)
+    assert built == []
+    assert np.array_equal(lent, scores(points, plain, spec))
+    assert built == [spec.gamma]
+    built.clear()
+    moved = points + 0.5 * points[::-1]  # other points, the kNN's matrix is stale
+    assert np.array_equal(scores(moved, nb, spec), scores(moved, plain, spec))
+    assert np.array_equal(scores(points.copy(), nb, spec), lent)  # equal values, other array
+    assert built == [spec.gamma] * 3
+    other = KernelSpec("rbf", 2.0 * spec.gamma)  # the kNN's array, another bandwidth
+    assert np.array_equal(scores(points, nb, other), scores(points, plain, other))
+    assert built[-2:] == [other.gamma] * 2
 
 
 def test_normalized_gram_examples():
