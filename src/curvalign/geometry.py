@@ -4,7 +4,8 @@ A point is treated as the apex of a small polyhedron spanned by its k
 nearest neighbors.  Translating the neighbors to the origin and projecting
 them onto the unit sphere, the curvature score is the sum of cosine
 similarities over all neighbor pairs; nearly colinear neighborhoods score
-high, spread-out ones score low or negative.
+high, spread-out ones score low or negative.  A bundle is scored by the
+curvature primitive's own kernels, as a batch of one row.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from .numerics import (
     EDGE_FLOOR,
     Graph,
     Var,
-    edge_curvature,
+    cosine_curvature,
     sq_distance_matrix,
+    unit_edges,
 )
 
 if TYPE_CHECKING:
@@ -40,7 +42,6 @@ class NeighborGraph:
     """
 
     indices: np.ndarray  # (b, k) int64
-    source: str = "batch"
     kernel: Optional[KernelSpec] = None
     points: Optional[np.ndarray] = field(default=None, repr=False)
     kernel_matrix: Optional[np.ndarray] = field(default=None, repr=False)
@@ -68,7 +69,7 @@ class EdgeBundle:
     edges: np.ndarray    # (k, d), row a is neighbor_a - center
 
 
-def knn_from_sq_distances(d2: np.ndarray, k: int, source: str,
+def knn_from_sq_distances(d2: np.ndarray, k: int,
                           key: Optional[Callable[[np.ndarray], np.ndarray]] = None
                           ) -> NeighborGraph:
     """Exact kNN given a full squared-distance matrix.
@@ -77,7 +78,7 @@ def knn_from_sq_distances(d2: np.ndarray, k: int, source: str,
     Rows are selected in blocks of at most _BLOCK_ELEMENTS entries, so the
     temporaries stay bounded and ``d2`` is never copied whole.  ``key``, when
     given, maps a block of ``d2``'s rows to the distances to select on (the
-    rbf kNN passes its kernel matrix and the RKHS distance as the key).
+    rbf kNN passes its kernel matrix K, and the RKHS distance 2 - 2K as the key).
     """
     b = d2.shape[0]
     if not 1 <= k <= b - 1:
@@ -87,7 +88,7 @@ def knn_from_sq_distances(d2: np.ndarray, k: int, source: str,
     for first in range(0, b, step):
         block = d2[first:first + step]
         indices[first:first + step] = _select(block if key is None else key(block), first, k)
-    return NeighborGraph(indices, source=source)
+    return NeighborGraph(indices)
 
 
 def _select(dist: np.ndarray, first: int, k: int) -> np.ndarray:
@@ -117,9 +118,9 @@ def _select(dist: np.ndarray, first: int, k: int) -> np.ndarray:
     return indices
 
 
-def knn_euclidean(points: np.ndarray, k: int, source: str = "batch") -> NeighborGraph:
+def knn_euclidean(points: np.ndarray, k: int) -> NeighborGraph:
     """Brute-force Euclidean kNN over the rows of ``points``."""
-    return knn_from_sq_distances(sq_distance_matrix(points), k, source)
+    return knn_from_sq_distances(sq_distance_matrix(points), k)
 
 
 def edge_bundle(points: np.ndarray, neighbors: NeighborGraph, row: int) -> EdgeBundle:
@@ -143,30 +144,17 @@ def knn_metric(points: np.ndarray, k: int, metric) -> NeighborGraph:
     return rkhs.knn_rkhs(points, k, metric)
 
 
-def _score_aux(metric) -> dict:
-    """Aux of the ``curvature`` primitive for a metric: cosine scores for
-    "euclidean" and the linear kernel, rbf scores with the spec's gamma."""
-    kind = "euclidean" if metric == "euclidean" else getattr(metric, "kind", None)
-    if kind in ("euclidean", "linear"):
-        return {"score": "cosine"}
-    if kind == "rbf":
-        return {"score": "rbf", "gamma": metric.gamma}
-    raise InvariantViolationError(f"unknown metric {metric!r}")
-
-
-def bundle_score(bundle: EdgeBundle, metric) -> float:
-    """Curvature score of one edge bundle under a metric (see _score_aux)."""
-    edges = np.asarray(bundle.edges, dtype=np.float64)
-    return float(edge_curvature(edges[None], **_score_aux(metric))[0])
-
-
 def curvature_score(bundle: EdgeBundle) -> float:
     """Sum of pairwise cosine similarities between the bundle's edges.
 
-    Bounded by k(k-1)/2 in absolute value.  Raises DegenerateEdgeError when
-    an edge is shorter than EDGE_FLOOR (a zero edge has no direction).
+    Bounded by k(k-1)/2 in absolute value.  Raises ValueError for fewer than
+    two edges, and DegenerateEdgeError when an edge is shorter than
+    EDGE_FLOOR (a zero edge has no direction).
     """
-    return bundle_score(bundle, "euclidean")
+    edges = np.asarray(bundle.edges, dtype=np.float64)
+    if edges.shape[0] < 2:
+        raise ValueError("curvature needs at least two edges")
+    return float(cosine_curvature(*unit_edges(edges[None], 0)[1:])[0])
 
 
 def batch_curvature(points: np.ndarray, k: int, metric="euclidean") -> np.ndarray:
@@ -191,7 +179,13 @@ def curvature_scores_graph(z: Var, neighbors: NeighborGraph, metric="euclidean")
     under the same spec goes along; the primitive reads it only if the kNN
     was built from the very array z holds.
     """
-    aux = _score_aux(metric)
-    if neighbors.kernel_matrix is not None and neighbors.kernel == metric:
-        aux["kernel"] = (neighbors.points, neighbors.kernel_matrix)
+    kind = "euclidean" if metric == "euclidean" else getattr(metric, "kind", None)
+    if kind in ("euclidean", "linear"):
+        aux = {"score": "cosine"}
+    elif kind == "rbf":
+        aux = {"score": "rbf", "gamma": metric.gamma}
+        if neighbors.kernel_matrix is not None and neighbors.kernel == metric:
+            aux["kernel"] = (neighbors.points, neighbors.kernel_matrix)
+    else:
+        raise InvariantViolationError(f"unknown metric {metric!r}")
     return z.graph.apply("curvature", z, neighbors=neighbors.indices, **aux)

@@ -22,6 +22,8 @@ RBF scores read every neighbor pair's kernel value from one (b, b) kernel
 matrix of the batch: the one the rbf kNN built from the same array when it
 lends it, else one built here from ``sq_distance_matrix`` of the centred
 points, the gram expansion every kNN and bandwidth in the package uses.
+Its block kernels ``cosine_curvature`` and ``rbf_curvature`` also score
+single edge bundles in ``geometry`` and ``rkhs``.
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ def rbf_kernel_matrix(points: Array, gamma: float) -> Array:
     return rbf_kernel_from_sq(sq_distance_matrix(centred(points)), gamma)
 
 
-def _rbf_curvature(kernel: Array, neighbors: Array) -> Array:
+def rbf_curvature(kernel: Array, neighbors: Array) -> Array:
     """Sum of kernel[n_a, n_b] over each row's neighbor pairs a < b, (b,).
 
     The (rows, k, k) gathered pairs run over row blocks."""
@@ -256,31 +258,9 @@ def unit_edges(edges: Array, first_row: int):
     return norms, unit, unit.sum(axis=1)
 
 
-def _cosine_curvature(unit: Array, total: Array) -> Array:
-    """(||s||^2 - sum_a ||u_a||^2) / 2 per row, from unit_edges' u_a and s."""
+def cosine_curvature(unit: Array, total: Array) -> Array:
+    """Sum of cosines over edge pairs, (||s||^2 - sum_a ||u_a||^2) / 2 per row."""
     return (np.einsum("md,md->m", total, total) - np.einsum("mkd,mkd->m", unit, unit)) / 2.0
-
-
-def edge_curvature(edges: Array, score: str, gamma: Optional[float] = None,
-                   first_row: int = 0) -> Array:
-    """Curvature score of each row of stacked edge vectors (m, k, d).
-
-    ``score="cosine"``: the sum of cosines over edge pairs, computed as
-    (||s||^2 - sum_a ||u_a||^2) / 2 from the unit edges u_a and s = sum_a u_a.
-    ``score="rbf"``: the sum of exp(-gamma ||e_a - e_b||^2) over edge pairs,
-    from the kernel matrix of each row's k edges (the center cancels).
-    A cosine edge no longer than EDGE_FLOOR raises DegenerateEdgeError naming
-    its row (counted from ``first_row``) and neighbor.
-    """
-    if edges.shape[1] < 2:
-        raise ValueError("curvature needs at least two edges")
-    if score == "cosine":
-        return _cosine_curvature(*unit_edges(edges, first_row)[1:])
-    if score == "rbf":
-        every_edge = np.arange(edges.shape[1])[None]  # one row, all k edges its neighbors
-        return np.concatenate([_rbf_curvature(rbf_kernel_matrix(e, gamma), every_edge)
-                               for e in edges])
-    raise ValueError(f"unknown curvature score {score!r}")
 
 
 def _fwd_curvature(z, *, neighbors, score, gamma=None, kernel=None, save=False):
@@ -302,14 +282,14 @@ def _fwd_curvature(z, *, neighbors, score, gamma=None, kernel=None, save=False):
     if score == "rbf":
         lent = kernel is not None and kernel[0] is z
         matrix = kernel[1] if lent else rbf_kernel_matrix(z, gamma)
-        return _rbf_curvature(matrix, nb)[:, None], matrix if save else None
+        return rbf_curvature(matrix, nb)[:, None], matrix if save else None
     if score != "cosine":
         raise ValueError(f"unknown curvature score {score!r}")
     out = np.empty((z.shape[0], 1))
     blocks = []
     for rows in _row_blocks(*nb.shape, z.shape[1]):
         norms, unit, total = unit_edges(z[nb[rows]] - z[rows, None, :], rows.start)
-        out[rows, 0] = _cosine_curvature(unit, total)
+        out[rows, 0] = cosine_curvature(unit, total)
         if save:
             blocks.append((norms, unit, total))
     return out, blocks if save else None

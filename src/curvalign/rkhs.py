@@ -3,7 +3,8 @@
 Edge vectors are kernelized directly: the feature map is never
 materialized, every quantity is expressed through k(., .).  With the linear
 kernel everything here reduces exactly to the Euclidean machinery in
-``geometry``.
+``geometry``.  An rbf bundle is scored by the curvature primitive's
+``rbf_curvature`` over its normalized Gram matrix, every edge a neighbor.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from .geometry import (
     EDGE_FLOOR,
     EdgeBundle,
     NeighborGraph,
-    bundle_score,
+    curvature_score,
+    knn_euclidean,
     knn_from_sq_distances,
     sq_distance_matrix,
 )
-from .numerics import centred, rbf_kernel_from_sq, rbf_kernel_matrix, unit_edges
+from .numerics import centred, rbf_curvature, rbf_kernel_from_sq, rbf_kernel_matrix, unit_edges
 
 
 @dataclass(frozen=True)
@@ -101,29 +103,28 @@ def knn_rkhs(points: np.ndarray, k: int, spec: KernelSpec) -> NeighborGraph:
     squared-distance matrix of the column-centred points feeds the
     median-heuristic bandwidth (when ``spec`` leaves it unset), then turns
     into the kernel matrix K = exp(-gamma sq) in place; the kNN selects on
-    the RKHS distance max(2 - 2K, 0), formed one row block at a time.  The
+    the RKHS distance 2 - 2K, formed one row block at a time.  The
     returned graph records the resolved spec as ``kernel``, and for rbf
     keeps K and ``points`` so that scoring these points reads K.
     """
     points = np.asarray(points, dtype=np.float64)
     if spec.kind == "linear":
-        graph = knn_from_sq_distances(sq_distance_matrix(points), k, source="rkhs:linear")
+        graph = knn_euclidean(points, k)
     else:
         kernel = sq_distance_matrix(centred(points))
         if spec.gamma is None:
             spec = KernelSpec("rbf", _median_gamma(kernel))
         rbf_kernel_from_sq(kernel, spec.gamma)
-        graph = knn_from_sq_distances(kernel, k, source="rkhs:rbf", key=_rkhs_sq_distance)
+        graph = knn_from_sq_distances(kernel, k, key=_rkhs_sq_distance)
         graph.points, graph.kernel_matrix = points, kernel
     graph.kernel = spec
     return graph
 
 
 def _rkhs_sq_distance(kernel_rows: np.ndarray) -> np.ndarray:
-    """max(2 - 2K, 0) of rows of an rbf kernel matrix, a new array."""
+    """2 - 2K of rows of an rbf kernel matrix, a new array (K in [0, 1]: no clamp)."""
     out = np.multiply(kernel_rows, 2.0)
-    np.subtract(2.0, out, out=out)
-    return np.maximum(out, 0.0, out=out)
+    return np.subtract(2.0, out, out=out)
 
 
 def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -143,5 +144,12 @@ def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def kernel_curvature_score(bundle: EdgeBundle, spec: KernelSpec) -> float:
-    """Sum of the strict upper triangle of the normalized edge kernel matrix."""
-    return bundle_score(bundle, spec)
+    """Sum of the strict upper triangle of the normalized edge kernel matrix
+    (``curvature_score`` for the linear kernel); ValueError below two edges."""
+    if spec.kind == "linear":
+        return curvature_score(bundle)
+    edges = np.asarray(bundle.edges, dtype=np.float64)
+    if edges.shape[0] < 2:
+        raise ValueError("curvature needs at least two edges")
+    every_edge = np.arange(edges.shape[0])[None]  # one row, all k edges its neighbors
+    return float(rbf_curvature(normalized_gram(edges, spec), every_edge)[0])

@@ -17,6 +17,7 @@ from curvalign.geometry import (
     batch_curvature,
     curvature_score,
     curvature_scores_graph,
+    edge_bundle,
     knn_euclidean,
     knn_from_sq_distances,
     sq_distance_matrix,
@@ -107,7 +108,7 @@ def test_knn_rkhs_resolves_missing_gamma():
     auto = knn_rkhs(pts, 2, KernelSpec("rbf"))  # median heuristic inside
     explicit = knn_rkhs(pts, 2, KernelSpec("rbf", 0.125))
     assert np.array_equal(auto.indices, explicit.indices)
-    assert auto.source == "rkhs:rbf"
+    assert auto.kernel == KernelSpec("rbf", 0.125)
 
 
 def _two_pass_gamma(points):
@@ -138,9 +139,9 @@ def test_one_matrix_rbf_knn_is_bit_identical_to_two_passes(monkeypatch):
     # made before it moved to the centred expansion
     selected = []  # the RKHS distances knn_rkhs selects from
 
-    def recording(d2, k, source, key=None):
+    def recording(d2, k, key=None):
         selected.append(d2.copy() if key is None else key(d2))
-        return knn_from_sq_distances(d2, k, source, key)
+        return knn_from_sq_distances(d2, k, key)
 
     monkeypatch.setattr(rkhs, "knn_from_sq_distances", recording)
     rng = np.random.default_rng(21)
@@ -160,8 +161,8 @@ def test_one_matrix_rbf_knn_is_bit_identical_to_two_passes(monkeypatch):
         gamma = _two_pass_gamma(centred)
         d2 = _two_pass_sq_distances(centred, gamma)
         uncentred = knn_from_sq_distances(
-            _two_pass_sq_distances(points, _two_pass_gamma(points)), k, source="rkhs:rbf")
-        old = knn_from_sq_distances(d2, k, source="rkhs:rbf")
+            _two_pass_sq_distances(points, _two_pass_gamma(points)), k)
+        old = knn_from_sq_distances(d2, k)
         selected.clear()
         new = knn_rkhs(points, k, KernelSpec("rbf"))
         assert median_heuristic_gamma(points) == gamma
@@ -304,6 +305,30 @@ def test_linear_reduction_on_random_bundles():
         assert abs(
             kernel_curvature_score(bundle, KernelSpec("linear")) - curvature_score(bundle)
         ) <= 1e-10
+
+
+@pytest.mark.parametrize("metric", ["euclidean", KernelSpec("linear"), KernelSpec("rbf", 0.3)])
+def test_bundle_scores_like_its_row_of_the_batch(metric):
+    rng = np.random.default_rng(13)
+    points = rng.normal(size=(64, 5))
+    nb = knn_euclidean(points, 10)
+    rows = curvature_scores_graph(Graph().leaf(points), nb, metric).value[:, 0]
+    for i in range(points.shape[0]):
+        bundle = edge_bundle(points, nb, i)
+        if metric == "euclidean":
+            score = curvature_score(bundle)
+        else:
+            score = kernel_curvature_score(bundle, metric)
+        assert abs(score - rows[i]) <= 1e-12, i
+
+
+def test_one_edge_bundle_raises_value_error():
+    bundle = EdgeBundle(np.zeros(3), np.array([[1.0, 2.0, 0.5]]))
+    with pytest.raises(ValueError):
+        curvature_score(bundle)
+    for spec in (KernelSpec("linear"), KernelSpec("rbf", 0.5)):
+        with pytest.raises(ValueError):
+            kernel_curvature_score(bundle, spec)
 
 
 def test_rbf_score_bounds():

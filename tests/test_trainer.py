@@ -139,6 +139,18 @@ def test_pretrain_bit_deterministic(tmp_path):
         assert np.array_equal(ckpt1.params[name][1], ckpt2.params[name][1])
 
 
+def test_linear_metric_trains_bit_identically_to_euclidean():
+    # the linear kernel's kNN is the Euclidean one and its scores are cosines
+    ds = make_blobs(128, 4, 16, 0.05, seed=6)
+    runs = [pretrain(_small_config(batch_size=32, k=4, seed=6, metric=m), ds)
+            for m in ("euclidean", "linear")]
+    (ckpt1, hist1), (ckpt2, hist2) = runs
+    assert [b.as_tuple() for b in hist1.breakdowns()] == [b.as_tuple() for b in hist2.breakdowns()]
+    for name in ckpt1.params:
+        assert np.array_equal(ckpt1.params[name][0], ckpt2.params[name][0])
+        assert np.array_equal(ckpt1.params[name][1], ckpt2.params[name][1])
+
+
 def test_alpha_zero_matches_curvature_free_pipeline():
     ds = make_blobs(256, 4, 16, 0.05, seed=5)
     steps_with, steps_without = [], []
