@@ -63,9 +63,7 @@ def standardize_features(z: Var, eps: float) -> Var:
     b = z.shape[0]
     if b < 2:
         raise BatchTooSmallError(f"standardization needs at least 2 rows, got {b}")
-    mu = z.mean_rows()
-    sigma = z.std_rows()
-    return (z - mu.broadcast_row(b)) / (sigma + eps).broadcast_row(b)
+    return z.standardize(eps)
 
 
 def cross_correlation(za: Var, zb: Var) -> Var:

@@ -130,12 +130,10 @@ def forward_graph(
     leaves: dict[str, tuple[Var, Var]], arch: Architecture, x: Var
 ) -> tuple[Var, Var]:
     """Differentiable encoder+projector forward; returns (h, z)."""
-    n = x.shape[0]
     cur = x
     h = None
     for name, _, _, relu in arch.layers():
-        w, b = leaves[name]
-        cur = cur @ w + b.broadcast_row(n)
+        cur = cur.affine(*leaves[name])
         if relu:
             cur = cur.relu()
         if name == f"enc{len(arch.encoder_widths) - 1}":

@@ -294,6 +294,23 @@ def test_cli_unwritable_out_is_io_failure(tmp_path, capsys):
     assert "cannot create output directory" in capsys.readouterr().err
 
 
+def test_cli_bias_of_wrong_length_is_a_shape_mismatch(tmp_path, monkeypatch, capsys):
+    from curvalign import trainer
+    from curvalign.model import init_params
+
+    def short_bias(arch, seed):
+        params = init_params(arch, seed)
+        w, b = params["proj1"]
+        params["proj1"] = (w, b[:-1])
+        return params
+
+    monkeypatch.setattr(trainer, "init_params", short_bias)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST_BLOBS)
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 40
+    assert "affine: (32, 8) @ (8, 4) + (3,)" in capsys.readouterr().err
+
+
 def test_unexpected_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     def broken(cfg, out_dir, args):
         raise ValueError("a defect, not a config value")

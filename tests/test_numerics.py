@@ -181,9 +181,14 @@ CASES = [
         "relu",
         g.leaf(np.where(np.abs(x := _rand(rng, (4, 3))) < 1e-3, 0.5, x), param=True),
     )),
+    ("affine", lambda g, rng: g.leaf(_rand(rng, (4, 3)), param=True).affine(
+        g.leaf(_rand(rng, (3, 2)), param=True), g.leaf(_rand(rng, (2,)), param=True),
+    )),
     ("sum", lambda g, rng: g.leaf(_rand(rng, (3, 4)), param=True).sum()),
     ("mean_rows", lambda g, rng: g.leaf(_rand(rng, (5, 3)), param=True).mean_rows()),
     ("std_rows", lambda g, rng: g.leaf(_rand(rng, (6, 3)), param=True).std_rows()),
+    # an eps of the order of the std, so one misplaced eps term would show
+    ("standardize", lambda g, rng: g.leaf(_rand(rng, (6, 3)), param=True).standardize(0.3)),
     ("sqrt", lambda g, rng: g.leaf(_rand(rng, (3, 3), 0.25, 2.0), param=True).sqrt()),
     ("square", lambda g, rng: g.leaf(_rand(rng, (3, 3)), param=True).square()),
     ("exp", lambda g, rng: g.leaf(_rand(rng, (3, 3)), param=True).exp()),
@@ -220,6 +225,16 @@ def test_every_primitive_has_a_gradient_case():
     assert {name.split(":")[0] for name, _ in CASES} == set(PRIMITIVES)
 
 
+def test_every_forward_rule_has_one_backward_rule_per_input():
+    import inspect
+
+    assert numerics._FORWARD.keys() == numerics._BACKWARD.keys()
+    for kind, forward in numerics._FORWARD.items():
+        inputs = [p for p in inspect.signature(forward).parameters.values()
+                  if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD]
+        assert len(numerics._BACKWARD[kind]) == len(inputs), kind
+
+
 @pytest.mark.parametrize("name,builder", CASES, ids=[c[0] for c in CASES])
 def test_primitive_backward_matches_central_differences(name, builder):
     for trial in range(7):
@@ -229,6 +244,71 @@ def test_primitive_backward_matches_central_differences(name, builder):
         out = var if var.shape == () else _scalarize(g, rng, var)
         report = finite_diff_check(g, out, step=1e-5, tol=TOLERANCE.get(name, 1e-6))
         assert report.passed, f"{name} trial {trial}: {report.per_leaf}"
+
+
+# -- fused affine and standardize against their unfused compositions --------
+
+def _unfused_standardize(z, eps):
+    b = z.shape[0]
+    return (z - z.mean_rows().broadcast_row(b)) / (z.std_rows() + eps).broadcast_row(b)
+
+
+def _affine_then_standardize(x0, w0, b0, eps, weights, fused):
+    """Forward value and the gradients of x, W and b, each a leaf with a
+    single consumer, through the fused primitives or their compositions."""
+    g = Graph()
+    x, w, b = (g.leaf(v, param=True) for v in (x0, w0, b0))
+    if fused:
+        out = x.affine(w, b).standardize(eps)
+    else:
+        out = _unfused_standardize(x @ w + b.broadcast_row(x0.shape[0]), eps)
+    grads = reverse_grad(g, (out * g.leaf(weights)).sum())
+    return out.value, [grads[leaf.idx] for leaf in (x, w, b)]
+
+
+@pytest.mark.parametrize("eps", [1e-5, 0.0, 0.3])
+def test_affine_and_standardize_equal_their_compositions_bit_for_bit(eps):
+    rng = np.random.default_rng(13)
+    x0, w0, b0 = rng.normal(size=(256, 64)), rng.normal(size=(64, 32)) * 0.1, rng.normal(size=32)
+    weights = rng.uniform(0.5, 1.5, size=(256, 32))
+    fused, fused_grads = _affine_then_standardize(x0, w0, b0, eps, weights, True)
+    plain, plain_grads = _affine_then_standardize(x0, w0, b0, eps, weights, False)
+    assert np.array_equal(fused, plain)
+    for got, want in zip(fused_grads, plain_grads):
+        assert np.array_equal(got, want)
+
+
+def test_standardize_constant_column_gradient_matches_the_composition():
+    # sigma = 0 in column 1: the std adjoint's zero rule, reached through eps > 0
+    rng = np.random.default_rng(14)
+    z0 = rng.normal(size=(8, 3))
+    z0[:, 1] = 5.0
+    weights = rng.uniform(0.5, 1.5, size=(8, 3))
+    grads = []
+    for build in (lambda z: z.standardize(1e-5), lambda z: _unfused_standardize(z, 1e-5)):
+        g = Graph()
+        z = g.leaf(z0, param=True)
+        out = build(z)
+        assert np.array_equal(out.value[:, 1], np.zeros(8))
+        grads.append(reverse_grad(g, (out * g.leaf(weights)).sum())[z.idx])
+    assert np.all(np.isfinite(grads[0]))
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_affine_checks_every_shape():
+    x, w = np.ones((4, 3)), np.ones((3, 2))
+    assert np.array_equal(eval_primitive("affine", [x, w, np.arange(2.0)]),
+                          [[3.0, 4.0]] * 4)
+    for bad in ([x, w, np.ones(3)], [x, w, np.ones((1, 2))], [x, np.ones((2, 2)), np.ones(2)],
+                [np.ones(3), w, np.ones(2)]):
+        with pytest.raises(ShapeMismatchError, match="affine"):
+            eval_primitive("affine", bad)
+
+
+def test_standardize_constant_column_at_zero_eps_names_the_primitive():
+    z = np.array([[1.0, 2.0], [3.0, 2.0], [5.0, 2.0]])
+    with pytest.raises(NonFiniteError, match="primitive 'standardize'"):
+        eval_primitive("standardize", [z], eps=0.0)
 
 
 def test_full_objective_gradient_small_instance():

@@ -185,6 +185,41 @@ def test_nonfinite_abort_reports_location():
     assert "epoch 0" in str(err.value)
 
 
+def test_constant_embedding_column_at_zero_eps_names_standardize(monkeypatch):
+    def constant_column(arch, seed):  # a zero last-layer column: z[:, 0] == 0
+        params = init_params(arch, seed)
+        w, b = params["proj1"]
+        params["proj1"] = (np.where(np.arange(w.shape[1]) == 0, 0.0, w), b)
+        return params
+
+    monkeypatch.setattr(trainer, "init_params", constant_column)
+    ds = make_blobs(128, 4, 16, 0.05, seed=6)
+    with pytest.raises(NonFiniteError, match=r"^epoch 0, batch 0: .*primitive 'standardize'"):
+        pretrain(_small_config(epochs=1, eps=0.0), ds)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "rbf"])
+def test_desk_step_tape_has_63_nodes(monkeypatch, metric):
+    # 8 params, 2 views, 3 loss constants; 4 affine + 3 relu per view; the
+    # rest is the loss: a tape regression fails here, not only when traced
+    tapes = []
+    reverse_grad = trainer.reverse_grad
+
+    def recording(graph, output):
+        tapes.append([node.op for node in graph.nodes])
+        return reverse_grad(graph, output)
+
+    monkeypatch.setattr(trainer, "reverse_grad", recording)
+    desk = Architecture(784, (256, 128), (128, 32))
+    config = _small_config(architecture=desk, epochs=1, batch_size=16, k=3, metric=metric)
+    pretrain(config, make_blobs(16, 2, 784, 0.1, seed=1))
+    assert len(tapes) == 1
+    ops = tapes[0]
+    assert len(ops) == 63
+    assert (ops.count("affine"), ops.count("standardize"), ops.count("curvature")) == (8, 4, 2)
+    assert not {"broadcast_row", "mean_rows", "std_rows"} & set(ops)
+
+
 def test_probe_constant_encoder_hits_majority_rate():
     arch = Architecture(4, (3,), (3, 2))
     params = {name: (np.zeros((i, o)), np.zeros(o)) for name, i, o, _ in arch.layers()}
