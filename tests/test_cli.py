@@ -10,6 +10,7 @@ from curvalign.cli import (
     parse_config,
     resolved_text,
 )
+from curvalign.data import make_pattern_images, make_ring, save_idx
 from curvalign.errors import (
     ConfigTypeError,
     CurvalignError,
@@ -104,6 +105,42 @@ def test_build_datasets_split_shares_structure():
     assert train.num_classes == test.num_classes == 4
 
 
+def test_build_datasets_ring_and_limits():
+    cfg = parse_config_text("dataset = ring\nring_n = 40\nring_test_n = 20\nring_classes = 5\n")
+    train, test = build_datasets(cfg)
+    full = make_ring(60, 5, 0.35, 0.02, seed=0)
+    assert (len(train), len(test), train.dim, train.num_classes) == (40, 20, 2, 5)
+    assert np.array_equal(train.features, full.features[:40])
+    assert np.array_equal(test.labels, full.labels[40:])
+
+    limited = parse_config_text(FAST_BLOBS + "train_limit = 10\ntest_limit = 7\n")
+    small_train, small_test = build_datasets(limited)
+    train, test = build_datasets(parse_config_text(FAST_BLOBS))
+    assert (len(small_train), len(small_test)) == (10, 7)
+    assert np.array_equal(small_train.features, train.features[:10])
+    assert np.array_equal(small_test.labels, test.labels[:7])
+    # a limit at or above the size keeps every row
+    roomy = parse_config_text(FAST_BLOBS + "train_limit = 96\ntest_limit = 500\n")
+    assert [len(ds) for ds in build_datasets(roomy)] == [96, 48]
+
+
+def test_build_datasets_reads_mnist_idx(tmp_path):
+    full = make_pattern_images(30, 3, 4, seed=2)
+    lines = ["dataset = mnist", "train_limit = 12"]
+    for part, rows in (("train", slice(0, 20)), ("test", slice(20, None))):
+        images, labels = tmp_path / f"{part}-images", tmp_path / f"{part}-labels"
+        save_idx(full.features[rows], full.labels[rows], 4, 4, images, labels)
+        lines += [f"mnist_{part}_images = {images}", f"mnist_{part}_labels = {labels}"]
+    train, test = build_datasets(parse_config_text("\n".join(lines) + "\n"))
+    assert (len(train), len(test)) == (12, 10)
+    assert train.image_shape == test.image_shape == (4, 4)
+    assert train.num_classes == 3
+    pixels = np.rint(full.features * 255.0) / 255.0
+    assert np.array_equal(train.features, pixels[:12])
+    assert np.array_equal(test.features, pixels[20:])
+    assert np.array_equal(test.labels, full.labels[20:])
+
+
 def parse_config_text(text):
     import tempfile
 
@@ -132,6 +169,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert probe_csv[0] == "n_train,n_test,probe_epochs,probe_lr,seed,accuracy"
     acc = float(probe_csv[1].split(",")[-1])
     assert 0.0 <= acc <= 1.0
+    assert probe_csv[1] == f"96,48,5,0.1,0,{acc!r}"
 
     assert main(["curvature", "--config", str(cfg_path), "--out", str(out / "curv")]) == 0
     curv_lines = (out / "curv" / "curvature.csv").read_text().splitlines()
@@ -188,6 +226,8 @@ def test_cli_exit_codes(tmp_path):
     assert main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "x")]) == 10
 
     assert main(["probe", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 12
+    assert main(["export-embeddings", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "x")]) == 12
 
     corrupt = tmp_path / "c.ckpt"
     corrupt.write_text("not a checkpoint\n")
@@ -218,6 +258,11 @@ def test_cli_curvature_from_embeddings_csv(tmp_path):
 
     got = np.array([float(r.split(",")[2]) for r in rows[1:]])
     assert np.allclose(got, batch_curvature(pts, 4), atol=1e-12)
+    from curvalign.rkhs import KernelSpec
+
+    kernel = batch_curvature(pts, 4, KernelSpec("rbf"))
+    assert rows[1:] == [f"{i},{i % 2},{float(e)!r},{float(c)!r}"
+                        for i, (e, c) in enumerate(zip(got, kernel))]
 
 
 MISSING_MNIST = "dataset = mnist\n" + "".join(
@@ -256,6 +301,8 @@ EXIT_CASES = [
     ("curvature", "blobs_dim = -1", 12, "blobs_dim must be >= 1"),
     ("curvature", "embeddings_csv = {tmp}/bad.csv", 12, "bad.csv, line 3"),
     ("curvature", "embeddings_csv = {tmp}/ragged.csv", 12, "ragged.csv, line 3"),
+    ("curvature", "embeddings_csv = {tmp}/headless.csv", 11, "expected a label,h0,... CSV header"),
+    ("curvature", "train_limit = 4", 12, "curvature needs more than k=4 points, got 4"),
     ("probe", "encoder_widths = 0", 46, "widths must be >= 1"),
     ("curvature", "encoder_widths = 0", 46, "widths must be >= 1"),
     ("export-embeddings", "encoder_widths = 0", 46, "widths must be >= 1"),
@@ -271,6 +318,7 @@ def trained(tmp_path_factory):
     assert main(["pretrain", "--config", str(root / "run.cfg"), "--out", str(root)]) == 0
     (root / "bad.csv").write_text("label,h0,h1\n0,0.5,0.25\n1,abc,0.5\n")
     (root / "ragged.csv").write_text("label,h0,h1\n0,0.5,0.25\n1,0.5\n")
+    (root / "headless.csv").write_text("0,0.5,0.25\n1,0.25,0.5\n")
     return root
 
 

@@ -139,6 +139,13 @@ def test_dataset_csv_export(tmp_path):
     assert float(first[1]) == ds.features[0, 0]  # repr round-trips exactly
 
 
+def test_dataset_csv_bytes(tmp_path):
+    ds = Dataset(np.array([[0.5, -0.0], [1e-300, 1.0]]), np.array([3, 0], dtype=np.int64), "t", 4)
+    path = tmp_path / "ds.csv"
+    save_dataset_csv(ds, path)
+    assert path.read_bytes() == b"label,f0,f1\n3,0.5,-0.0\n0,1e-300,1.0\n"
+
+
 def test_augment_identity_policy():
     x = np.random.default_rng(0).uniform(0, 1, size=16)
     policy = AugmentationPolicy(0.0, 0.0, 0, image_shape=(4, 4))

@@ -13,12 +13,13 @@ from curvalign.errors import (
     NonFiniteError,
     ShapeMismatchError,
 )
-from curvalign.losses import Weights
+from curvalign.losses import LossBreakdown, Weights
 from curvalign.model import Architecture, Checkpoint, init_params, save_checkpoint
 from curvalign.trainer import (
     AdamState,
     TrainConfig,
     adam_step,
+    export_embeddings,
     init_adam_state,
     linear_probe,
     pretrain,
@@ -276,6 +277,25 @@ def test_history_csv_format(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "0"
     assert float(row[1]) == history.breakdowns()[0].total
+
+
+def test_history_and_embedding_csv_bytes(tmp_path):
+    history = trainer.History()
+    weights = Weights(1.0, 1.0, 1.0)
+    history.append(LossBreakdown(np.float64(1.5), 2.0, -0.0, 1e-300, 0.25, weights), 0.125)
+    history.append(LossBreakdown(3.0, np.float64(-0.0), 0.1, 0.0, 7.0, weights), np.float64(2.5))
+    history.to_csv(tmp_path / "history.csv")
+    assert (tmp_path / "history.csv").read_bytes() == (
+        b"epoch,total,emb_diag,emb_offdiag,curv_diag,curv_offdiag,seconds\n"
+        b"0,1.5,2.0,-0.0,1e-300,0.25,0.125\n"
+        b"1,3.0,-0.0,0.1,0.0,7.0,2.5\n"
+    )
+
+    arch = Architecture(2, (2,), (2, 2))
+    params = {name: (np.eye(2), np.zeros(2)) for name, *_ in arch.layers()}
+    data = Dataset(np.array([[0.5, 1e-300], [0.0, 1.0]]), np.array([7, 2], dtype=np.int64), "e", 8)
+    export_embeddings(Checkpoint(arch, params, 0, 1), data, tmp_path / "emb.csv")
+    assert (tmp_path / "emb.csv").read_bytes() == b"label,h0,h1\n7,0.5,1e-300\n2,0.0,1.0\n"
 
 
 class _InlineExecutor:
