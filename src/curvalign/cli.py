@@ -9,6 +9,7 @@ status code (table in the README).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -18,32 +19,32 @@ import numpy as np
 
 from . import data as data_mod
 from . import errors as E
-from .data import AugmentationPolicy, Dataset, load_idx
+from .data import AugmentationPolicy, Dataset, load_idx, write_csv
 from .geometry import batch_curvature
 from .losses import Weights
-from .model import Architecture, load_checkpoint, save_checkpoint
+from .model import Architecture, Checkpoint, load_checkpoint, save_checkpoint
 from .rkhs import KernelSpec
 from .trainer import TrainConfig, export_embeddings, linear_probe, pretrain
 
 
 @dataclass
 class RunConfig:
-    # training
-    seed: int = 0
-    epochs: int = 100
-    batch_size: int = 256
-    k: int = 10
-    lambda_emb: float = 1.0
-    lambda_curv: float = 1.0
-    alpha_curv: float = 1.0
-    metric: str = "euclidean"
-    rbf_gamma: Optional[float] = None
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-4
-    eps: float = 1e-5
-    encoder_widths: tuple = (256, 128)
-    projector_widths: tuple = (128, 32)
-    track_curvature: bool = True
+    # training: the library's own defaults
+    seed: int = TrainConfig.seed
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    k: int = TrainConfig.k
+    lambda_emb: float = TrainConfig.weights.lambda_emb
+    lambda_curv: float = TrainConfig.weights.lambda_curv
+    alpha_curv: float = TrainConfig.weights.alpha_curv
+    metric: str = TrainConfig.metric
+    rbf_gamma: Optional[float] = TrainConfig.rbf_gamma
+    learning_rate: float = TrainConfig.learning_rate
+    weight_decay: float = TrainConfig.weight_decay
+    eps: float = TrainConfig.eps
+    encoder_widths: tuple = Architecture.encoder_widths
+    projector_widths: tuple = Architecture.projector_widths
+    track_curvature: bool = TrainConfig.track_curvature
     # dataset selection
     dataset: str = "blobs"
     mnist_train_images: str = ""
@@ -70,10 +71,10 @@ class RunConfig:
     patterns_noise: float = 0.05
     patterns_contrast_min: float = 0.5
     patterns_contrast_max: float = 1.0
-    # augmentation
-    noise_sigma: float = 0.1
-    mask_fraction: float = 0.1
-    shift_max: int = 2
+    # augmentation: the library's own defaults
+    noise_sigma: float = AugmentationPolicy.noise_sigma
+    mask_fraction: float = AugmentationPolicy.mask_fraction
+    shift_max: int = AugmentationPolicy.shift_max
     # probe
     probe_epochs: int = 50
     probe_lr: float = 0.1
@@ -142,8 +143,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a key = value config file; unknown keys are rejected and all
-    missing keys take their documented defaults."""
+    """Parse a key = value config file; unknown keys and non-finite floats
+    are rejected and all missing keys take their documented defaults."""
     defaults = {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
     values = {}
     try:
@@ -160,7 +161,9 @@ def parse_config(path) -> RunConfig:
         key = key.strip()
         if key not in defaults:
             raise E.UnknownKeyError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw, defaults[key])
+        value = values[key] = _parse_value(key, raw, defaults[key])
+        if isinstance(value, float) and not math.isfinite(value):
+            raise E.InvariantViolationError(f"line {lineno}: {key} must be finite, got {value}")
     return _validate(RunConfig(**values))
 
 
@@ -177,11 +180,13 @@ def write_resolved(cfg: RunConfig, out_dir: Path) -> None:
 # dataset assembly
 # ---------------------------------------------------------------------------
 
+def _rows(ds: Dataset, rows: slice) -> Dataset:
+    """The rows of ``ds`` that ``rows`` selects, as a Dataset of the same kind."""
+    return Dataset(ds.features[rows], ds.labels[rows], ds.name, ds.num_classes, ds.image_shape)
+
+
 def _limited(ds: Dataset, limit: int) -> Dataset:
-    if limit and limit < len(ds):
-        return Dataset(ds.features[:limit], ds.labels[:limit], ds.name,
-                       ds.num_classes, ds.image_shape)
-    return ds
+    return _rows(ds, slice(limit)) if limit and limit < len(ds) else ds
 
 
 def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
@@ -213,11 +218,7 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 
 def _split(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
-    train = Dataset(ds.features[:n_train], ds.labels[:n_train], ds.name,
-                    ds.num_classes, ds.image_shape)
-    test = Dataset(ds.features[n_train:], ds.labels[n_train:], ds.name,
-                   ds.num_classes, ds.image_shape)
-    return train, test
+    return _rows(ds, slice(n_train)), _rows(ds, slice(n_train, None))
 
 
 def train_config_from(cfg: RunConfig, input_dim: int, image_shape) -> TrainConfig:
@@ -260,18 +261,22 @@ def _cmd_pretrain(cfg: RunConfig, out_dir: Path, args) -> int:
     return 0
 
 
-def _cmd_probe(cfg: RunConfig, out_dir: Path, args) -> int:
+def _checkpoint_arg(args) -> Checkpoint:
+    """The checkpoint that ``--checkpoint`` names, which the command requires."""
     if not args.checkpoint:
-        raise E.InvariantViolationError("probe requires --checkpoint")
-    ckpt = load_checkpoint(args.checkpoint)
+        raise E.InvariantViolationError(f"{args.command} requires --checkpoint")
+    return load_checkpoint(args.checkpoint)
+
+
+def _cmd_probe(cfg: RunConfig, out_dir: Path, args) -> int:
+    ckpt = _checkpoint_arg(args)
     train, test = build_datasets(cfg)
     acc = linear_probe(ckpt, train, test, probe_epochs=cfg.probe_epochs,
                        probe_lr=cfg.probe_lr, probe_batch=cfg.probe_batch, seed=cfg.seed)
     write_resolved(cfg, out_dir)
-    with open(out_dir / "probe.csv", "w", encoding="ascii") as f:
-        f.write("n_train,n_test,probe_epochs,probe_lr,seed,accuracy\n")
-        f.write(f"{len(train)},{len(test)},{cfg.probe_epochs},"
-                f"{repr(cfg.probe_lr)},{cfg.seed},{repr(acc)}\n")
+    write_csv(out_dir / "probe.csv",
+              ("n_train", "n_test", "probe_epochs", "probe_lr", "seed", "accuracy"),
+              [(len(train), len(test), cfg.probe_epochs, cfg.probe_lr, cfg.seed, acc)])
     print(f"probe accuracy: {acc:.4f}")
     return 0
 
@@ -314,19 +319,15 @@ def _cmd_curvature(cfg: RunConfig, out_dir: Path, args) -> int:
     euclid = batch_curvature(points, cfg.k, "euclidean")
     kernel = batch_curvature(points, cfg.k, KernelSpec("rbf", cfg.rbf_gamma))
     write_resolved(cfg, out_dir)
-    with open(out_dir / "curvature.csv", "w", encoding="ascii") as f:
-        f.write("index,label,euclidean,kernel\n")
-        for i, (lab, ce, ck) in enumerate(zip(labels, euclid, kernel)):
-            f.write(f"{i},{int(lab)},{repr(float(ce))},{repr(float(ck))}\n")
+    write_csv(out_dir / "curvature.csv", ("index", "label", "euclidean", "kernel"),
+              ((i, *row) for i, row in enumerate(zip(labels, euclid, kernel))))
     print(f"curvature scores for {points.shape[0]} rows of {source} "
           f"written to {out_dir / 'curvature.csv'}")
     return 0
 
 
 def _cmd_export(cfg: RunConfig, out_dir: Path, args) -> int:
-    if not args.checkpoint:
-        raise E.InvariantViolationError("export-embeddings requires --checkpoint")
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = _checkpoint_arg(args)
     train, _ = build_datasets(cfg)
     write_resolved(cfg, out_dir)
     export_embeddings(ckpt, train, out_dir / "embeddings.csv")

@@ -13,7 +13,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class Dataset:
             raise CountMismatchError(
                 f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
             )
-        if self.features.size and (self.features.min() < 0.0 or self.features.max() > 1.0):
+        if self.features.size and not (self.features.min() >= 0.0 and self.features.max() <= 1.0):
             raise ValueError("feature values must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -145,18 +145,19 @@ def save_idx(features01: np.ndarray, labels: np.ndarray, rows: int, cols: int,
 # ---------------------------------------------------------------------------
 
 def _round_robin_labels(n: int, num_classes: int) -> np.ndarray:
+    """0, 1, ..., num_classes - 1, 0, 1, ... for n samples; owns n >= num_classes >= 2."""
+    if not n >= num_classes >= 2:
+        raise InvalidCountsError(f"need n >= num_classes >= 2, got n={n}, classes={num_classes}")
     return np.arange(n, dtype=np.int64) % num_classes
 
 
 def make_blobs(n: int, num_classes: int, d: int, spread: float, seed: int) -> Dataset:
     """Gaussian clusters at seeded random centers inside the unit box."""
-    if not n >= num_classes >= 2:
-        raise InvalidCountsError(f"need n >= num_classes >= 2, got n={n}, classes={num_classes}")
+    labels = _round_robin_labels(n, num_classes)
     if d < 1:
         raise InvariantViolationError(f"blobs_dim must be >= 1, got {d}")
     rng = stream(seed, "blobs")
     centers = rng.uniform(0.25, 0.75, size=(num_classes, d))
-    labels = _round_robin_labels(n, num_classes)
     feats = centers[labels]
     if spread > 0.0:
         feats = feats + rng.normal(0.0, spread, size=(n, d))
@@ -167,10 +168,8 @@ def make_blobs(n: int, num_classes: int, d: int, spread: float, seed: int) -> Da
 def make_ring(n: int, num_classes: int, radius: float, noise: float, seed: int) -> Dataset:
     """Points on per-class arcs of a circle (centered in the unit square)
     with radial noise."""
-    if not n >= num_classes >= 2:
-        raise InvalidCountsError(f"need n >= num_classes >= 2, got n={n}, classes={num_classes}")
-    rng = stream(seed, "ring")
     labels = _round_robin_labels(n, num_classes)
+    rng = stream(seed, "ring")
     arc = 2.0 * np.pi / num_classes
     theta = labels * arc + rng.uniform(0.0, arc, size=n)
     r = radius + (rng.normal(0.0, noise, size=n) if noise > 0.0 else 0.0)
@@ -196,8 +195,7 @@ def make_pattern_images(
     fixed pixel, which makes raw-pixel linear classification hard while the
     class manifold (a torus of shifts) stays simple.
     """
-    if not n >= num_classes >= 2:
-        raise InvalidCountsError(f"need n >= num_classes >= 2, got n={n}, classes={num_classes}")
+    labels = _round_robin_labels(n, num_classes)
     if side < 1 or max_shift < 0:
         raise InvariantViolationError(
             f"patterns_side must be >= 1 and patterns_shift >= 0, got {side} and {max_shift}"
@@ -226,7 +224,6 @@ def make_pattern_images(
             )
         img /= peak
         templates.append(img)
-    labels = _round_robin_labels(n, num_classes)
     feats = np.empty((n, side * side))
     for i in range(n):
         dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
@@ -239,13 +236,21 @@ def make_pattern_images(
                    image_shape=(side, side))
 
 
+def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """The package's one CSV format, in ASCII: a header line, then one line
+    per row, each integer cell written with ``str`` and every other cell
+    with ``repr(float(v))``, so every value parses back exactly."""
+    with open(path, "w", encoding="ascii") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (str(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row)
+            f.write(",".join(cells) + "\n")
+
+
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """CSV export: header label,f0,f1,..., one row per sample."""
-    header = "label," + ",".join(f"f{i}" for i in range(dataset.dim))
-    with open(path, "w", encoding="ascii") as f:
-        f.write(header + "\n")
-        for label, row in zip(dataset.labels, dataset.features):
-            f.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    header = ["label"] + [f"f{i}" for i in range(dataset.dim)]
+    write_csv(path, header, ((label, *row) for label, row in zip(dataset.labels, dataset.features)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +265,10 @@ class AugmentationPolicy:
     image_shape: Optional[tuple[int, int]] = None  # shift applies only to images
 
     def __post_init__(self):
-        if self.noise_sigma < 0.0:
-            raise InvariantViolationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise InvariantViolationError(
+                f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}"
+            )
         if not 0.0 <= self.mask_fraction < 1.0:
             raise InvariantViolationError("mask_fraction must lie in [0, 1)")
         if self.shift_max < 0:

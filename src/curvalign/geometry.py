@@ -152,8 +152,6 @@ def curvature_score(bundle: EdgeBundle) -> float:
     EDGE_FLOOR (a zero edge has no direction).
     """
     edges = np.asarray(bundle.edges, dtype=np.float64)
-    if edges.shape[0] < 2:
-        raise ValueError("curvature needs at least two edges")
     return float(cosine_curvature(*unit_edges(edges[None], 0)[1:])[0])
 
 

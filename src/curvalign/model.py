@@ -24,14 +24,14 @@ from .errors import (
     FormatVersionMismatchError,
     InvalidArchitectureError,
     IoFailureError,
-    ShapeMismatchError,
 )
 from .losses import LossBreakdown, Weights
-from .numerics import Graph, Var
+from .numerics import Graph, Var, eval_primitive
 
 Params = dict[str, tuple[np.ndarray, np.ndarray]]
 
 _FORMAT_LINE = "curvalign-checkpoint v1"
+ACTIVATION = "relu"  # of every hidden layer; checkpoints record it as arch.activation
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class Architecture:
     input_dim: int
     encoder_widths: tuple[int, ...] = (256, 128)
     projector_widths: tuple[int, ...] = (128, 32)
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "encoder_widths", tuple(int(w) for w in self.encoder_widths))
@@ -51,8 +50,6 @@ class Architecture:
             raise InvalidArchitectureError("encoder needs at least one layer")
         if len(self.projector_widths) < 2:
             raise InvalidArchitectureError("projector needs at least two affine layers")
-        if self.activation != "relu":
-            raise InvalidArchitectureError(f"unsupported activation {self.activation!r}")
 
     @property
     def d_h(self) -> int:
@@ -88,31 +85,26 @@ def init_params(arch: Architecture, seed: int) -> Params:
     return params
 
 
-def _check_input(x: np.ndarray, dim: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ShapeMismatchError(f"{what}: expected (n, {dim}), got {x.shape}")
-    return x
-
-
 def _eager_layers(params: Params, arch: Architecture, x: np.ndarray, prefix: str) -> np.ndarray:
+    """The layers named ``prefix``*, by the rules ``forward_graph`` records:
+    ShapeMismatchError for a wrong input width, NonFiniteError for a
+    non-finite output."""
     for name, _, _, relu in arch.layers():
         if name.startswith(prefix):
-            w, b = params[name]
-            x = x @ w + b
+            x = eval_primitive("affine", [x, *params[name]])
             if relu:
-                x = np.maximum(x, 0.0)
+                x = eval_primitive("relu", [x])
     return x
 
 
 def encode(params: Params, arch: Architecture, x: np.ndarray) -> np.ndarray:
     """Eager forward pass through the encoder."""
-    return _eager_layers(params, arch, _check_input(x, arch.input_dim, "encode"), "enc")
+    return _eager_layers(params, arch, x, "enc")
 
 
 def project(params: Params, arch: Architecture, h: np.ndarray) -> np.ndarray:
     """Eager forward pass through the projector."""
-    return _eager_layers(params, arch, _check_input(h, arch.d_h, "project"), "proj")
+    return _eager_layers(params, arch, h, "proj")
 
 
 def param_leaves(graph: Graph, params: Params) -> dict[str, tuple[Var, Var]]:
@@ -179,7 +171,7 @@ def _body_text(ckpt: Checkpoint) -> str:
         f"arch.input_dim {arch.input_dim}",
         "arch.encoder " + " ".join(map(str, arch.encoder_widths)),
         "arch.projector " + " ".join(map(str, arch.projector_widths)),
-        f"arch.activation {arch.activation}",
+        f"arch.activation {ACTIVATION}",
         f"history {len(ckpt.history)}",
     ]
     for h in ckpt.history:
@@ -282,7 +274,9 @@ def load_checkpoint(path) -> Checkpoint:
     if actual != stored_digest:
         raise DigestMismatchError("checkpoint body does not match its digest")
 
-    arch = Architecture(input_dim, encoder, projector, activation)
+    if activation != ACTIVATION:
+        raise InvalidArchitectureError(f"unsupported activation {activation!r}")
+    arch = Architecture(input_dim, encoder, projector)
     params: Params = {}
     for name, _, _, _ in arch.layers():
         try:

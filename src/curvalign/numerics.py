@@ -21,6 +21,7 @@ bias vector added to every row), and ``standardize`` is (x - mean) /
 (population std + eps) per column, whose adjoint runs the rules of the
 unfused sub, std_rows, add and div composition in their order, so a
 single-consumer input gets that composition's gradient bit for bit.
+``model``'s eager passes run the same rules through ``eval_primitive``.
 Nothing in the package calls ``broadcast_row``, ``mean_rows``,
 ``std_rows``, ``gather_rows``, ``sqrt`` or ``exp``; they stay registered
 because the benchmark's per-layer metric list names every primitive.
@@ -32,7 +33,8 @@ tensors; its RBF scores read every neighbor pair's kernel value from one
 array when it lends it, else one built here from ``sq_distance_matrix`` of
 the centred points, the gram expansion every kNN and bandwidth in the
 package uses.  Its block kernels ``cosine_curvature`` and ``rbf_curvature``
-also score single edge bundles in ``geometry`` and ``rkhs``.
+also score single edge bundles in ``geometry`` and ``rkhs``, and own the
+rule that every score needs two edges (ValueError).
 """
 
 from __future__ import annotations
@@ -237,11 +239,12 @@ def centred(points: Array) -> Array:
     A shared offset cancels in every difference, and centring keeps the gram
     expansion's magnitudes at the spread of the points.  Each row's squared
     norm is checked first: centring would spread one non-finite row over
-    every row, and the NonFiniteError names the row that holds it.
+    every row, and the NonFiniteError names the row that holds it.  Zero
+    rows have no mean and stay zero rows.
     """
     points = np.asarray(points, dtype=np.float64)
     _require_finite_rows(np.einsum("ij,ij->i", points, points))
-    return points - points.mean(axis=0)
+    return points - points.mean(axis=0) if len(points) else points.copy()
 
 
 def rbf_kernel_from_sq(sq: Array, gamma: float) -> Array:
@@ -262,11 +265,17 @@ def rbf_kernel_matrix(points: Array, gamma: float) -> Array:
     return rbf_kernel_from_sq(sq_distance_matrix(centred(points)), gamma)
 
 
+def _require_two_edges(k: int) -> None:
+    if k < 2:
+        raise ValueError("curvature needs at least two edges")
+
+
 def rbf_curvature(kernel: Array, neighbors: Array) -> Array:
     """Sum of kernel[n_a, n_b] over each row's neighbor pairs a < b, (b,).
 
     The (rows, k, k) gathered pairs run over row blocks."""
     k = neighbors.shape[1]
+    _require_two_edges(k)
     diag = np.arange(k)
     out = np.empty(neighbors.shape[0])
     for rows in _row_blocks(*neighbors.shape, k):
@@ -291,6 +300,7 @@ def unit_edges(edges: Array, first_row: int):
 
 def cosine_curvature(unit: Array, total: Array) -> Array:
     """Sum of cosines over edge pairs, (||s||^2 - sum_a ||u_a||^2) / 2 per row."""
+    _require_two_edges(unit.shape[1])
     return (np.einsum("md,md->m", total, total) - np.einsum("mkd,mkd->m", unit, unit)) / 2.0
 
 
@@ -308,8 +318,6 @@ def _fwd_curvature(z, *, neighbors, score, gamma=None, kernel=None, save=False):
         raise ShapeMismatchError(f"curvature: neighbors {nb.shape} for {z.shape[0]} rows")
     if nb.size and (nb.min() < 0 or nb.max() >= z.shape[0]):
         raise ShapeMismatchError(f"curvature: neighbor index out of range for {z.shape[0]} rows")
-    if nb.shape[1] < 2:
-        raise ValueError("curvature needs at least two edges")
     if score == "rbf":
         lent = kernel is not None and kernel[0] is z
         matrix = kernel[1] if lent else rbf_kernel_matrix(z, gamma)
@@ -533,30 +541,16 @@ class Var:
     def __add__(self, other):
         return self.graph.apply("add", self, self._coerce(other))
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         return self.graph.apply("sub", self, self._coerce(other))
-
-    def __rsub__(self, other):
-        return self.graph.apply("sub", self._coerce(other), self)
 
     def __mul__(self, other):
         if isinstance(other, Var):
             return self.graph.apply("mul", self, other)
         return self.graph.apply("smul", self, c=float(other))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            return self.graph.apply("div", self, other)
-        return self.graph.apply("smul", self, c=1.0 / float(other))
-
-    def __neg__(self):
-        return self.graph.apply("smul", self, c=-1.0)
+    def __truediv__(self, other: "Var"):
+        return self.graph.apply("div", self, other)
 
     def __matmul__(self, other):
         return self.graph.apply("matmul", self, self._coerce(other))

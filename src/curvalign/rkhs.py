@@ -38,8 +38,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
             raise InvariantViolationError(f"kernel kind must be linear|rbf, got {self.kind!r}")
-        if self.gamma is not None and not self.gamma > 0.0:
-            raise InvariantViolationError(f"rbf_gamma must be > 0 or empty, got {self.gamma!r}")
+        if self.gamma is not None and not 0.0 < self.gamma < np.inf:
+            raise InvariantViolationError(
+                f"rbf_gamma must be > 0 and finite, or empty, got {self.gamma!r}"
+            )
 
 
 def median_heuristic_gamma(points: np.ndarray) -> float:
@@ -149,7 +151,5 @@ def kernel_curvature_score(bundle: EdgeBundle, spec: KernelSpec) -> float:
     if spec.kind == "linear":
         return curvature_score(bundle)
     edges = np.asarray(bundle.edges, dtype=np.float64)
-    if edges.shape[0] < 2:
-        raise ValueError("curvature needs at least two edges")
     every_edge = np.arange(edges.shape[0])[None]  # one row, all k edges its neighbors
     return float(rbf_curvature(normalized_gram(edges, spec), every_edge)[0])

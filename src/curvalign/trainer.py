@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import AugmentationPolicy, BatchPlan, Dataset, augment_view, batches, stream
+from .data import AugmentationPolicy, BatchPlan, Dataset, augment_view, batches, stream, write_csv
 from .errors import EmptyDatasetError, InvariantViolationError, NonFiniteError, ShapeMismatchError
 from .losses import LossBreakdown, Weights, total_loss
 from .model import (
@@ -157,11 +157,8 @@ class History:
         return [b for b, _ in self.entries]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as f:
-            f.write(self.CSV_HEADER + "\n")
-            for epoch, (b, secs) in enumerate(self.entries):
-                vals = ",".join(repr(float(v)) for v in b.as_tuple())
-                f.write(f"{epoch},{vals},{repr(float(secs))}\n")
+        rows = ((epoch, *b.as_tuple(), secs) for epoch, (b, secs) in enumerate(self.entries))
+        write_csv(path, self.CSV_HEADER.split(","), rows)
 
 
 def _two_views(
@@ -238,8 +235,8 @@ def pretrain(
             if ahead is not None:
                 next_views = pool.submit(_two_views, dataset, policy, config.seed, *ahead)
             graph = Graph()
-            leaves = param_leaves(graph, params)
             try:
+                leaves = param_leaves(graph, params)
                 z1 = forward_graph(leaves, arch, graph.leaf(x1))[1]
                 z2 = forward_graph(leaves, arch, graph.leaf(x2))[1]
                 breakdown, total = total_loss(
@@ -346,8 +343,5 @@ def linear_probe(
 def export_embeddings(ckpt: Checkpoint, dataset: Dataset, path) -> None:
     """CSV of encoder features: label,h0,...,h_{d_h-1}; one row per sample."""
     h = encode(ckpt.params, ckpt.architecture, dataset.features)
-    header = "label," + ",".join(f"h{i}" for i in range(h.shape[1]))
-    with open(path, "w", encoding="ascii") as f:
-        f.write(header + "\n")
-        for label, row in zip(dataset.labels, h):
-            f.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    header = ["label"] + [f"h{i}" for i in range(h.shape[1])]
+    write_csv(path, header, ((label, *row) for label, row in zip(dataset.labels, h)))

@@ -306,6 +306,15 @@ EXIT_CASES = [
     ("probe", "encoder_widths = 0", 46, "widths must be >= 1"),
     ("curvature", "encoder_widths = 0", 46, "widths must be >= 1"),
     ("export-embeddings", "encoder_widths = 0", 46, "widths must be >= 1"),
+    # float keys of every kind: training, loss weight, bandwidth, dataset, augmentation, probe
+    ("pretrain", "learning_rate = inf", 12, "learning_rate must be finite, got inf"),
+    ("pretrain", "weight_decay = nan", 12, "weight_decay must be finite, got nan"),
+    ("pretrain", "lambda_emb = nan", 12, "lambda_emb must be finite"),
+    ("curvature", "rbf_gamma = inf", 12, "rbf_gamma must be finite"),
+    ("curvature", "dataset = ring\nring_radius = nan", 12, "ring_radius must be finite"),
+    ("curvature", "blobs_spread = -inf", 12, "blobs_spread must be finite, got -inf"),
+    ("pretrain", "noise_sigma = nan", 12, "noise_sigma must be finite"),
+    ("probe", "probe_lr = nan", 12, "probe_lr must be finite"),
     ("pretrain", MISSING_MNIST, 30, "missing/train_images"),
     ("pretrain", MISSING_MNIST + "k = 1", 12, "k must be >= 2"),  # checked before any read
 ]
@@ -331,6 +340,21 @@ def test_cli_exit_code_per_input(trained, tmp_path, capsys, command, extra, code
             "--checkpoint", str(trained / "checkpoint.ckpt")]
     assert main(argv) == code
     assert fragment in capsys.readouterr().err
+
+
+def test_cli_probe_exit_code_per_checkpoint_fault(trained, tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST_BLOBS)
+    text = (trained / "checkpoint.ckpt").read_text()
+    for edited, code, fragment in (
+        (text.replace("\nend\n", "\n"), 30, "missing end marker"),
+        (text.replace("\nepochs 2\n", "\nepochs 3\n"), 32, "does not match its digest"),
+    ):
+        ckpt = tmp_path / "edited.ckpt"
+        ckpt.write_text(edited)
+        assert main(["probe", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--checkpoint", str(ckpt)]) == code
+        assert fragment in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_is_io_failure(tmp_path, capsys):

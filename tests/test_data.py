@@ -16,12 +16,14 @@ from curvalign.data import (
     save_dataset_csv,
     save_idx,
     stream,
+    write_csv,
 )
 from curvalign.errors import (
     BadMagicError,
     BatchTooSmallError,
     CountMismatchError,
     InvalidCountsError,
+    InvariantViolationError,
     ShapeMismatchError,
     TruncatedFileError,
 )
@@ -144,6 +146,17 @@ def test_dataset_csv_bytes(tmp_path):
     path = tmp_path / "ds.csv"
     save_dataset_csv(ds, path)
     assert path.read_bytes() == b"label,f0,f1\n3,0.5,-0.0\n0,1e-300,1.0\n"
+
+
+def test_write_csv_bytes(tmp_path):
+    # the format of every CSV the package writes: str for integers, repr(float) otherwise
+    rows = [
+        (np.int64(3), np.float64(0.5), -0.0, 1e-300),
+        (7, 0.1, np.float64(-0.0), np.float64(2.5e-7)),
+    ]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["label", "a", "b", "c"], rows)
+    assert path.read_bytes() == b"label,a,b,c\n3,0.5,-0.0,1e-300\n7,0.1,-0.0,2.5e-07\n"
 
 
 def test_augment_identity_policy():
@@ -332,3 +345,11 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int), "x", 2)
     with pytest.raises(ValueError):
         Dataset(np.full((2, 2), 1.5), np.zeros(2, dtype=int), "x", 2)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        Dataset(np.array([[0.5, np.nan], [0.5, 0.5]]), np.zeros(2, dtype=int), "x", 2)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+def test_policy_rejects_a_non_finite_or_negative_noise_sigma(sigma):
+    with pytest.raises(InvariantViolationError, match="noise_sigma must be >= 0 and finite"):
+        AugmentationPolicy(noise_sigma=sigma)

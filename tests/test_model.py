@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from curvalign.cli import EXIT_CODES
 from curvalign.errors import (
+    CurvalignError,
     DigestMismatchError,
     FormatVersionMismatchError,
     InvalidArchitectureError,
@@ -26,13 +28,13 @@ from curvalign.numerics import Graph, eval_primitive, finite_diff_check
 ARCH = Architecture(input_dim=6, encoder_widths=(8, 5), projector_widths=(5, 4))
 
 
-def test_architecture_validation():
+def test_architecture_validation(tmp_path):
     with pytest.raises(InvalidArchitectureError):
         Architecture(0, (4,), (4, 2))
     with pytest.raises(InvalidArchitectureError):
         Architecture(4, (4,), (2,))  # projector needs two affine layers
-    with pytest.raises(InvalidArchitectureError):
-        Architecture(4, (4,), (4, 2), activation="tanh")
+    with pytest.raises(InvalidArchitectureError, match="unsupported activation 'tanh'"):
+        _load_edited(tmp_path, lambda t: t.replace("arch.activation relu", "arch.activation tanh"))
     arch = Architecture(784)
     assert arch.d_h == 128 and arch.d_z == 32
     names = [name for name, *_ in arch.layers()]
@@ -158,6 +160,72 @@ def test_checkpoint_rejects_bad_files(tmp_path):
 
     with pytest.raises(IoFailureError):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def _load_edited(tmp_path, edit, redigest=True):
+    """Load a saved checkpoint after ``edit`` rewrote its text; with
+    ``redigest`` the digest line is made to match the edited body, so the
+    load fails, if at all, for the edit itself."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_checkpoint(), path)
+    text = edit(path.read_text())
+    if redigest:
+        first, _, body = text.split("\n", 2)
+        text = f"{first}\ndigest {hashlib.sha256(body.encode('utf-8')).hexdigest()}\n{body}"
+    path.write_bytes(text.encode("utf-8"))
+    return load_checkpoint(path)
+
+
+def _drop_tensor(text, name):
+    lines = text.split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"tensor {name} "))
+    del lines[at:at + 2]
+    return "\n".join(lines).replace("tensors 8", "tensors 7")
+
+
+def _edit_line(text, prefix, edit, offset=0):
+    """``edit`` applied to the line ``offset`` lines below the first that
+    starts with ``prefix``."""
+    lines = text.split("\n")
+    at = offset + next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[at] = edit(lines[at])
+    return "\n".join(lines)
+
+
+# (failure, expected error class, CLI exit code, message fragment, the action that fails)
+CHECKPOINT_FAULTS = [
+    ("wrong first line", FormatVersionMismatchError, 31, "unrecognized format line",
+     lambda p: _load_edited(p, lambda t: "curvalign-checkpoint" + t[t.index("\n"):], False)),
+    ("missing digest line", FormatVersionMismatchError, 31, "missing digest line",
+     lambda p: _load_edited(p, lambda t: _edit_line(t, "digest ", lambda _: "seed 9"), False)),
+    ("non-ASCII bytes", FormatVersionMismatchError, 31, "not a checkpoint file",
+     lambda p: _load_edited(p, lambda t: t.replace("ab12", "\u00e912"))),
+    ("truncated body", IoFailureError, 30, "unexpected end of checkpoint file",
+     lambda p: _load_edited(p, lambda t: t[: t.index("\ntensors ")])),
+    ("malformed history record", IoFailureError, 30, "malformed history record",
+     lambda p: _load_edited(p, lambda t: _edit_line(t, "h ", lambda _: "h 1.0 2.0"))),
+    ("bad tensor hex", IoFailureError, 30, "bad tensor encoding",
+     lambda p: _load_edited(p, lambda t: _edit_line(t, "tensor enc0.b", lambda h: "z" + h[1:], 1))),
+    ("wrong payload length", IoFailureError, 30, "tensor payload has 56 bytes, expected 64",
+     lambda p: _load_edited(p, lambda t: _edit_line(t, "tensor enc0.b", lambda h: h[:-16], 1))),
+    ("missing end", IoFailureError, 30, "missing end marker",
+     lambda p: _load_edited(p, lambda t: t.replace("\nend\n", "\n"))),
+    ("missing tensor", IoFailureError, 30, "missing tensor 'proj1'",
+     lambda p: _load_edited(p, lambda t: _drop_tensor(t, "proj1.b"))),
+    ("unwritable path on save", IoFailureError, 30, "cannot write checkpoint",
+     lambda p: save_checkpoint(_checkpoint(), p / "no-such-dir" / "model.ckpt")),
+    ("edited body", DigestMismatchError, 32, "does not match its digest",
+     lambda p: _load_edited(p, lambda t: t.replace("epochs 2", "epochs 3"), False)),
+]
+
+
+@pytest.mark.parametrize("failure,error,code,fragment,action", CHECKPOINT_FAULTS,
+                         ids=[case[0] for case in CHECKPOINT_FAULTS])
+def test_checkpoint_failure_modes(tmp_path, failure, error, code, fragment, action):
+    with pytest.raises(CurvalignError, match=fragment) as info:
+        action(tmp_path)
+    assert type(info.value) is error
+    assert EXIT_CODES[error] == code
 
 
 def test_hand_built_minimal_checkpoint(tmp_path):

@@ -7,6 +7,7 @@ import curvalign.rkhs as rkhs
 from curvalign.errors import (
     CurvalignError,
     DegenerateEdgeError,
+    InvariantViolationError,
     NonFiniteError,
     ShapeMismatchError,
 )
@@ -43,6 +44,9 @@ def test_kernel_spec_validation():
         KernelSpec("poly")
     with pytest.raises(ValueError):
         KernelSpec("rbf", -1.0)
+    for gamma in (np.inf, np.nan):
+        with pytest.raises(InvariantViolationError, match="rbf_gamma must be > 0 and finite"):
+            KernelSpec("rbf", gamma)
     assert KernelSpec("rbf").gamma is None  # resolved later
 
 
@@ -328,6 +332,13 @@ def test_one_edge_bundle_raises_value_error():
         curvature_score(bundle)
     for spec in (KernelSpec("linear"), KernelSpec("rbf", 0.5)):
         with pytest.raises(ValueError):
+            kernel_curvature_score(bundle, spec)
+
+
+def test_bundle_without_edges_raises_value_error():
+    bundle = EdgeBundle(np.zeros(3), np.zeros((0, 3)))
+    for spec in (KernelSpec("linear"), KernelSpec("rbf", 0.5)):
+        with pytest.raises(ValueError, match="at least two edges"):
             kernel_curvature_score(bundle, spec)
 
 

@@ -186,6 +186,18 @@ def test_nonfinite_abort_reports_location():
     assert "epoch 0" in str(err.value)
 
 
+def test_non_finite_parameter_is_reported_with_its_step(monkeypatch):
+    def nan_weight(params, grads, state, lr, weight_decay):
+        params, state = adam_step(params, grads, state, lr, weight_decay)
+        params["enc0"][0][0, 0] = np.nan  # adam_step returns new arrays
+        return params, state
+
+    monkeypatch.setattr(trainer, "adam_step", nan_weight)
+    ds = make_blobs(128, 4, 16, 0.05, seed=6)
+    with pytest.raises(NonFiniteError, match=r"^epoch 0, batch 1: non-finite value produced by leaf"):
+        pretrain(_small_config(epochs=1), ds)
+
+
 def test_constant_embedding_column_at_zero_eps_names_standardize(monkeypatch):
     def constant_column(arch, seed):  # a zero last-layer column: z[:, 0] == 0
         params = init_params(arch, seed)
