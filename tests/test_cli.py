@@ -142,12 +142,16 @@ def test_build_datasets_reads_mnist_idx(tmp_path):
 
 
 def parse_config_text(text):
+    import os
     import tempfile
 
     with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as f:
         f.write(text)
         name = f.name
-    return parse_config(name)
+    try:
+        return parse_config(name)
+    finally:
+        os.unlink(name)
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -10,6 +10,8 @@ from curvalign.errors import (
     FormatVersionMismatchError,
     InvalidArchitectureError,
     IoFailureError,
+    NonFiniteError,
+    ShapeMismatchError,
 )
 from curvalign.losses import LossBreakdown, Weights, total_loss
 from curvalign.model import (
@@ -269,3 +271,14 @@ def test_outputs_finite_for_finite_inputs():
     h = encode(params, ARCH, x)
     z = project(params, ARCH, h)
     assert np.all(np.isfinite(h)) and np.all(np.isfinite(z))
+
+
+def test_eager_passes_raise_the_affine_and_finiteness_errors():
+    params = init_params(ARCH, seed=10)
+    with pytest.raises(ShapeMismatchError, match=r"affine: \(3, 5\) @ \(6, 8\)"):
+        encode(params, ARCH, np.ones((3, 5)))
+    with pytest.raises(ShapeMismatchError, match="affine"):
+        project(params, ARCH, np.ones((3, 6)))
+    infinite = {**params, "enc0": (np.full((6, 8), np.inf), params["enc0"][1])}
+    with pytest.raises(NonFiniteError, match="primitive 'affine'"):
+        encode(infinite, ARCH, np.ones((3, 6)))
