@@ -142,15 +142,26 @@ def _validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
+def _read_text(path, encoding: str, what: str) -> str:
+    """The text of an input file: IoFailureError if it cannot be read,
+    ConfigTypeError naming the offset of a byte ``encoding`` rejects."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except OSError as err:
+        raise E.IoFailureError(f"cannot read {what} {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise E.ConfigTypeError(
+            f"{what} {path}: byte {err.object[err.start]:#04x} at offset {err.start} "
+            f"is not {err.encoding}"
+        ) from None
+
+
 def parse_config(path) -> RunConfig:
     """Parse a key = value config file; unknown keys and non-finite floats
     are rejected and all missing keys take their documented defaults."""
     defaults = {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
     values = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise E.IoFailureError(f"cannot read config {path}: {err}") from None
+    text = _read_text(path, "utf-8", "config")
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -282,10 +293,7 @@ def _cmd_probe(cfg: RunConfig, out_dir: Path, args) -> int:
 
 
 def _load_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        rows = Path(path).read_text(encoding="ascii").strip().splitlines()
-    except OSError as err:
-        raise E.IoFailureError(f"cannot read embeddings {path}: {err}") from None
+    rows = _read_text(path, "ascii", "embeddings").strip().splitlines()
     if not rows or not rows[0].startswith("label,"):
         raise E.ConfigTypeError(f"{path}: expected a label,h0,... CSV header")
     width = rows[0].count(",") + 1

@@ -14,6 +14,13 @@ residuals: what its adjoint would otherwise recompute (the curvature
 kernel matrix, or its unit edges and norms).  Eager evaluation saves
 nothing.
 
+Finiteness is checked at a graph's boundary: every leaf as it is built,
+the differentiated output and every gradient in ``reverse_grad``.  The
+nodes in between are checked as they are built only when they depend on
+no parameter, which covers every node of an eager graph; a caller that
+meets a NonFiniteError replays the tape with ``forward_values``, which
+checks every primitive and names the first one that made a NaN or inf.
+
 Only the primitives below exist; there is no general broadcasting.  Shapes
 are scalars ``()``, vectors ``(n,)`` and matrices ``(m, n)``.  Two fused
 primitives carry the training graph: ``affine`` is one layer's x W + b (a
@@ -200,10 +207,14 @@ EDGE_FLOOR = 1e-12
 # pairs in (rows, k, k) blocks, and sq_distance_matrix and the kNN selection
 # work on that matrix in (rows, b) blocks of the same size
 _BLOCK_ELEMENTS = 1 << 17
+# elements of one row block's (rows, k, k) pair index and weights in the rbf
+# adjoint, 64 KiB each: temporaries this small are reused from the heap step
+# after step, where 1 MiB ones are returned to the kernel and faulted back
+_PAIR_ELEMENTS = 1 << 13
 
 
-def _row_blocks(b: int, k: int, d: int) -> list[slice]:
-    step = max(1, _BLOCK_ELEMENTS // max(1, k * max(d, k)))
+def _row_blocks(b: int, k: int, d: int, elements: int = _BLOCK_ELEMENTS) -> list[slice]:
+    step = max(1, elements // max(1, k * max(d, k)))
     return [slice(i, min(i + step, b)) for i in range(0, b, step)]
 
 
@@ -216,7 +227,8 @@ def sq_distance_matrix(points: Array) -> Array:
     row whose squared norm is not finite raises NonFiniteError naming it.
     """
     points = np.asarray(points, dtype=np.float64)
-    sq = points @ points.T
+    with np.errstate(all="ignore"):  # a non-finite row is named below
+        sq = points @ points.T
     diag = sq.diagonal().copy()
     _require_finite_rows(diag)
     step = max(1, _BLOCK_ELEMENTS // max(1, sq.shape[0]))
@@ -389,22 +401,22 @@ def _bwd_curvature(ins, out, g, aux):
     batch kernel matrix K whichever row's neighborhood holds it, so the rows
     sum into one pair weight C_pq = sum_i g_i #{(a, b): n_a = p, n_b = q},
     p != q, over the ordered neighbor pairs of each row i (the diagonal
-    carries no gradient: x_p - x_p = 0), counted over the same row blocks
-    as the forward's gathered pairs.  With W = C o K (K the saved matrix),
-    d/dx = 2 gamma (W x - rowsum(W) o x), on column-centred x: the center
-    row cancels, and so does a shared offset.
+    carries no gradient: x_p - x_p = 0).  ``np.add.at`` adds each row
+    block's weights into one zeroed (b * b,) vector in input order, row by row
+    and pair by pair, the order of one ``np.bincount`` over all pairs, over
+    blocks of at most _PAIR_ELEMENTS pairs.  With W = C o K (K the saved
+    matrix), d/dx = 2 gamma (W x - rowsum(W) o x), on column-centred x: the
+    center row cancels, and so does a shared offset.
     """
     z = ins[0]
     nb = np.asarray(aux["neighbors"], dtype=np.int64)
     saved = aux["saved"] if "saved" in aux else _fwd_curvature(z, save=True, **aux)[1]
     if aux["score"] == "rbf":
         b, k = nb.shape
-        w = None
-        for rows in _row_blocks(b, k, k):
-            pairs = (nb[rows, :, None] * b + nb[rows, None, :]).ravel()
-            part = np.bincount(pairs, weights=np.repeat(g[rows, 0], k * k), minlength=b * b)
-            w = part if w is None else np.add(w, part, out=w)
-        del pairs, part  # the centred points and products reuse their memory
+        w = np.zeros(b * b)
+        for rows in _row_blocks(b, k, k, _PAIR_ELEMENTS):
+            pairs = nb[rows, :, None] * b + nb[rows, None, :]
+            np.add.at(w, pairs.ravel(), np.repeat(g[rows, 0], k * k))
         w = w.reshape(b, b)
         np.fill_diagonal(w, 0.0)
         w *= saved
@@ -476,11 +488,14 @@ PRIMITIVES = tuple(sorted(_FORWARD))
 _SAVING = frozenset({"curvature"})
 
 
-def eval_primitive(kind: str, inputs: list[Array], *, save: bool = False, **aux):
+def eval_primitive(kind: str, inputs: list[Array], *, save: bool = False,
+                   check: bool = True, **aux):
     """Evaluate one primitive on concrete arrays.
 
     Pure: inputs are never mutated.  Raises ShapeMismatchError for
-    incompatible extents and NonFiniteError if the result contains NaN/Inf.
+    incompatible extents and, with ``check`` (the default), NonFiniteError
+    if the result contains NaN/Inf; ``Graph.apply`` passes ``check=False``
+    for a parameter-dependent node, whose graph checks its boundary instead.
     With ``save`` it returns (value, saved): the residuals the primitive's
     adjoint reads instead of recomputing them, None for a primitive that
     saves nothing.
@@ -494,7 +509,8 @@ def eval_primitive(kind: str, inputs: list[Array], *, save: bool = False, **aux)
         else:
             out, saved = _FORWARD[kind](*vals, **aux), None
     out = np.asarray(out, dtype=np.float64)
-    _require_finite(out, f"primitive {kind!r}")
+    if check:
+        _require_finite(out, f"primitive {kind!r}")
     return (out, saved) if save else out
 
 
@@ -610,10 +626,19 @@ class Graph:
         return Var(self, len(self.nodes) - 1)
 
     def apply(self, op: str, *args: Var, **aux) -> Var:
+        """Evaluate ``op`` on the inputs' cached values and append its node.
+
+        A node that depends on a parameter leaf keeps its forward's saved
+        residuals, and its value is not scanned for NaN/inf: ``reverse_grad``
+        checks the output and the gradients, and ``forward_values`` names
+        the op that made a non-finite value.  A node that depends on no
+        parameter, every node of an eager graph, raises NonFiniteError at
+        the op itself.
+        """
         ids = tuple(a.idx for a in args)
         vals = [self.nodes[i].value for i in ids]
         active = any(self.nodes[i].active for i in ids)
-        result = eval_primitive(op, vals, save=active, **aux)
+        result = eval_primitive(op, vals, save=active, check=not active, **aux)
         out, saved = result if active else (result, None)
         self.nodes.append(Node(op, ids, aux, out, active=active, saved=saved))
         return Var(self, len(self.nodes) - 1)
@@ -625,8 +650,11 @@ class Graph:
         """Re-evaluate the whole tape, optionally overriding leaf values.
 
         Does not touch the cached values or the saved residuals, and
-        recomputes every node from its re-evaluated inputs; used by finite
-        differencing and by the cache-consistency tests.
+        recomputes every node from its re-evaluated inputs, checking each
+        one: the first primitive that makes a NaN or inf raises
+        NonFiniteError naming it.  Used by finite differencing, by the
+        cache-consistency tests and to locate a non-finite value that the
+        graph's boundary checks met.
         """
         overrides = overrides or {}
         vals: list[Array] = []
@@ -658,9 +686,15 @@ def reverse_grad(graph: Graph, output: Var) -> dict[int, Array]:
     no parameter.  A rule whose forward saved residuals gets them as
     ``aux["saved"]``.  Accumulation order is fixed by node index, so
     repeated calls are bit-identical.
+
+    This is where a parameter-dependent graph's finiteness is checked: the
+    output's value before the pass and every gradient after it raise
+    NonFiniteError; ``Graph.forward_values`` names the primitive behind a
+    non-finite output.
     """
     _check_scalar(graph, output)
     nodes = graph.nodes
+    _require_finite(nodes[output.idx].value, f"output node {output.idx}")
     adjoints: dict[int, Array] = {}
     if nodes[output.idx].active:
         adjoints[output.idx] = np.ones_like(nodes[output.idx].value)

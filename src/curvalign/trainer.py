@@ -193,6 +193,18 @@ def _first_views(
     return augment_view(rows, policy, rng0), view1.result()
 
 
+def _first_non_finite(graph: Graph, err: NonFiniteError) -> NonFiniteError:
+    """The replay's error when re-evaluating the step's tape meets a NaN or
+    inf: a training graph checks its leaves, loss and gradients only, and
+    ``forward_values`` checks every op, so it names the primitive that made
+    the value ``err`` met later.  ``err`` itself when every op is finite."""
+    try:
+        graph.forward_values()
+    except NonFiniteError as replayed:
+        return replayed
+    return err
+
+
 def pretrain(
     config: TrainConfig,
     dataset: Dataset,
@@ -207,7 +219,9 @@ def pretrain(
     epoch boundaries too, are built on a worker thread while the step runs;
     the loop waits for them before ``on_step``, so no background work
     outlives a step, and an augmentation error is raised there with its
-    own class.
+    own class.  A NonFiniteError in a step is raised with the prefix
+    "epoch E, batch B:", naming the first primitive of the step's tape that
+    made a NaN or inf when there is one.
     """
     arch = config.architecture
     if dataset.dim != arch.input_dim:
@@ -250,7 +264,9 @@ def pretrain(
                 )
                 by_id = reverse_grad(graph, total)
             except NonFiniteError as err:
-                raise NonFiniteError(f"epoch {epoch}, batch {batch_idx}: {err}") from err
+                raise NonFiniteError(
+                    f"epoch {epoch}, batch {batch_idx}: {_first_non_finite(graph, err)}"
+                ) from err
             grads = {
                 name: (by_id[wv.idx], by_id[bv.idx]) for name, (wv, bv) in leaves.items()
             }

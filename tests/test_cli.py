@@ -415,3 +415,15 @@ def test_every_error_class_has_its_own_exit_code():
     classes = set(concrete(CurvalignError))
     assert classes == set(EXIT_CODES)
     assert len(set(EXIT_CODES.values())) == len(EXIT_CODES)
+
+
+def test_cli_undecodable_byte_is_a_config_type_error(tmp_path, capsys):
+    cfg_path, csv_path = tmp_path / "run.cfg", tmp_path / "emb.csv"
+    argv = ["curvature", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    cfg_path.write_bytes(b"k = 3 # caf\xe9\n")
+    assert main(argv) == 11
+    assert f"config {cfg_path}: byte 0xe9 at offset 11 is not utf-8" in capsys.readouterr().err
+    csv_path.write_bytes(b"label,h0\n0,0.\xc3\xa9\n")
+    cfg_path.write_text(f"k = 2\nembeddings_csv = {csv_path}\n")
+    assert main(argv) == 11
+    assert f"embeddings {csv_path}: byte 0xc3 at offset 13 is not ascii" in capsys.readouterr().err

@@ -569,3 +569,77 @@ def test_rbf_curvature_is_translation_robust():
     shifted_scores, shifted_adj = _rbf_scores_and_adjoint(z + 1e3, nb, 0.1, g)
     assert np.max(np.abs(shifted_scores - scores)) <= 1e-9
     assert np.max(np.abs(shifted_adj - adj)) <= 1e-9
+
+
+# -- rbf pair weight: row-blocked np.add.at against one np.bincount ----------
+
+def _bincount_rbf_adjoint(z, nb, gamma, g, kernel):
+    """The rbf adjoint with its pair weight from one np.bincount over every
+    ordered neighbor pair of every row, each weighted by its row's g."""
+    b, k = nb.shape
+    pairs = (nb[:, :, None] * b + nb[:, None, :]).ravel()
+    w = np.bincount(pairs, weights=np.repeat(g[:, 0], k * k), minlength=b * b).reshape(b, b)
+    np.fill_diagonal(w, 0.0)
+    w *= kernel
+    centred_z = z - z.mean(axis=0)
+    adj = w @ centred_z
+    adj -= w.sum(axis=1)[:, None] * centred_z
+    adj *= 2.0 * gamma
+    return adj
+
+
+def _rbf_adjoint(z, nb, gamma, g, kernel):
+    aux = {"neighbors": nb, "score": "rbf", "gamma": gamma, "saved": kernel}
+    return numerics._BACKWARD["curvature"][0]([z], None, g, aux)
+
+
+@pytest.mark.parametrize("b,k", [(256, 20), (256, 2), (64, 63)])
+def test_rbf_adjoint_equals_one_bincount_bit_for_bit(b, k):
+    # np.add.at adds in input order over the row blocks, the order of one
+    # bincount over all pairs; (256, 20) and (64, 63) span many blocks
+    from curvalign.geometry import knn_euclidean
+
+    rng = np.random.default_rng([34, b, k])
+    z = rng.normal(size=(b, 32))
+    g = rng.uniform(-1.5, 1.5, size=(b, 1))
+    kernel = numerics.rbf_kernel_matrix(z, 0.02)
+    knn = knn_euclidean(z, k).indices
+    repeated = knn.copy()
+    repeated[:, -1] = repeated[:, 0]  # a neighbor twice in every row
+    assert (len(numerics._row_blocks(b, k, k, numerics._PAIR_ELEMENTS)) > 1) == (k > 2)
+    for nb in (knn, repeated):
+        want = _bincount_rbf_adjoint(z, nb, 0.02, g, kernel)
+        assert np.array_equal(_rbf_adjoint(z, nb, 0.02, g, kernel), want)
+
+
+def test_rbf_adjoint_temporaries_stay_under_one_mib():
+    # b = 256, k = 20, d = 32: the (b b) pair weight is 0.5 MiB; one bincount
+    # over all pairs held 2.06 MiB
+    import tracemalloc
+
+    from curvalign.geometry import knn_euclidean
+
+    rng = np.random.default_rng(35)
+    z = rng.normal(size=(256, 32))
+    nb = knn_euclidean(z, 20).indices
+    g = rng.uniform(-1.5, 1.5, size=(256, 1))
+    kernel = numerics.rbf_kernel_matrix(z, 0.02)
+    tracemalloc.start()
+    try:
+        _rbf_adjoint(z, nb, 0.02, g, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("name", ["curvature:rbf", "curvature:rbf:k=b-1"])
+def test_rbf_adjoint_in_one_row_blocks_passes_finite_differences(monkeypatch, name):
+    monkeypatch.setattr(numerics, "_PAIR_ELEMENTS", 1)  # one row per block
+    builder = dict(CASES)[name]
+    for trial in range(3):
+        rng = np.random.default_rng([zlib.crc32(name.encode()), trial, 2])
+        g = Graph()
+        out = _scalarize(g, rng, builder(g, rng))
+        report = finite_diff_check(g, out, step=1e-5, tol=TOLERANCE[name])
+        assert report.passed, f"{name} trial {trial}: {report.per_leaf}"

@@ -448,3 +448,86 @@ def test_pretrain_rejects_an_image_shape_that_does_not_fit_the_rows():
     with pytest.raises(ShapeMismatchError):
         pretrain(config, ds)
     assert threading.active_count() == before
+
+
+# -- finiteness at the graph's boundary --------------------------------------
+
+def _poisoned(monkeypatch, kind, bad, when=lambda: True):
+    """Make primitive ``kind``'s forward put ``bad`` in its first entry
+    while ``when()`` holds; returns the list of its calls."""
+    from curvalign import numerics
+
+    rule, calls = numerics._FORWARD[kind], []
+
+    def poisoned(*args, **kwargs):
+        calls.append(kind)
+        result = rule(*args, **kwargs)
+        out = result[0] if isinstance(result, tuple) else result
+        if when():
+            out.flat[0] = bad
+        return result
+
+    monkeypatch.setitem(numerics._FORWARD, kind, poisoned)
+    return calls
+
+
+@pytest.mark.parametrize("bad,metric", [(np.nan, "euclidean"), (np.inf, "rbf")])
+def test_non_finite_embedding_is_named_by_the_replay(monkeypatch, bad, metric):
+    # a relu of step 1 (and of its replay) makes z's row 0 non-finite; the
+    # kNN's row check meets it first, and the replay names the relu
+    steps = []
+    _poisoned(monkeypatch, "relu", bad, when=lambda: len(steps) == 1)
+    ds = make_blobs(128, 4, 16, 0.05, seed=6)
+    with pytest.raises(NonFiniteError) as info:
+        pretrain(_small_config(epochs=1, metric=metric), ds, on_step=lambda *a: steps.append(a))
+    assert str(info.value) == "epoch 0, batch 1: non-finite value produced by primitive 'relu'"
+    assert "point row 0 " in str(info.value.__cause__)
+    assert len(steps) == 1
+
+
+def test_eager_graphs_raise_at_the_op_itself(monkeypatch):
+    from curvalign.geometry import batch_curvature
+    from curvalign.losses import total_loss_arrays
+    from curvalign.model import encode
+    from curvalign.rkhs import KernelSpec
+
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(12, 16))
+    for kind, run in (
+        ("curvature", lambda: batch_curvature(x, 3)),
+        ("curvature", lambda: batch_curvature(x, 3, KernelSpec("rbf"))),
+        ("affine", lambda: encode(init_params(SMALL_ARCH, 0), SMALL_ARCH, x)),
+        ("standardize", lambda: total_loss_arrays(x, x + 0.1, 3)),
+    ):
+        with monkeypatch.context() as patch:
+            calls = _poisoned(patch, kind, np.nan)
+            with pytest.raises(NonFiniteError, match=f"^non-finite value produced by primitive '{kind}'$"):
+                run()
+        assert calls == [kind]  # the first call raised: no later op, no replay
+
+
+def test_clean_step_checks_only_the_graph_boundary(monkeypatch):
+    from curvalign import numerics
+
+    contexts, tapes = [], []
+    require, reverse_grad = numerics._require_finite, trainer.reverse_grad
+
+    def recording(arr, context):
+        contexts.append(context)
+        require(arr, context)
+
+    def recording_grad(graph, output):
+        tapes.append((graph.nodes, output.idx))
+        return reverse_grad(graph, output)
+
+    monkeypatch.setattr(numerics, "_require_finite", recording)
+    monkeypatch.setattr(trainer, "reverse_grad", recording_grad)
+    config = _small_config(epochs=1, metric="rbf")
+    pretrain(config, make_blobs(64, 4, 16, 0.05, seed=6))
+    (nodes, out), = tapes
+    leaves = [i for i, n in enumerate(nodes) if n.op == "leaf"]
+    params = [i for i in leaves if nodes[i].param]
+    ops = [n for n in nodes if n.op != "leaf"]
+    assert len(ops) == 50 and all(n.active for n in ops)  # nothing else is scanned
+    assert contexts == (["leaf"] * len(leaves) + [f"output node {out}"]
+                        + [f"gradient of leaf {i}" for i in params])
