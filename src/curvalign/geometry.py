@@ -4,26 +4,27 @@ A point is treated as the apex of a small polyhedron spanned by its k
 nearest neighbors.  Translating the neighbors to the origin and projecting
 them onto the unit sphere, the curvature score is the sum of cosine
 similarities over all neighbor pairs; nearly colinear neighborhoods score
-high, spread-out ones score low or negative.  A bundle is scored by the
-curvature primitive's own kernels, as a batch of one row.
+high, spread-out ones score low or negative.  Every kNN selects on the
+squared distances of the centred points and keeps them for the scores to
+read; a bundle is scored by the curvature primitive's kernel, as a batch of
+one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import InvariantViolationError, KTooLargeError
 from .numerics import (
     _BLOCK_ELEMENTS,
-    EDGE_FLOOR,
     Graph,
     Var,
-    cosine_curvature,
+    curvature_rows,
+    rbf_kernel_from_sq,
     sq_distance_matrix,
-    unit_edges,
 )
 
 if TYPE_CHECKING:
@@ -35,16 +36,15 @@ class NeighborGraph:
     """Per-row neighbor indices, sorted by ascending distance then index.
 
     ``kernel`` is the resolved KernelSpec of an RKHS kNN, None for a
-    Euclidean one.  An rbf kNN also keeps the kernel matrix it selected
-    from, ``kernel_matrix``, and the array it was built from, ``points``:
-    scoring that very array under the same spec reads the matrix instead of
-    building it again.
+    Euclidean one.  A kNN also keeps the array it was built from, ``points``,
+    and its ``pair_matrix``: the D^2 it selected on, or K for rbf.  Scoring
+    that very array reads the matrix instead of building it again.
     """
 
     indices: np.ndarray  # (b, k) int64
     kernel: Optional[KernelSpec] = None
     points: Optional[np.ndarray] = field(default=None, repr=False)
-    kernel_matrix: Optional[np.ndarray] = field(default=None, repr=False)
+    pair_matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -69,16 +69,13 @@ class EdgeBundle:
     edges: np.ndarray    # (k, d), row a is neighbor_a - center
 
 
-def knn_from_sq_distances(d2: np.ndarray, k: int,
-                          key: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                          ) -> NeighborGraph:
-    """Exact kNN given a full squared-distance matrix.
+def knn_from_sq_distances(d2: np.ndarray, k: int) -> NeighborGraph:
+    """Exact kNN given a full squared-distance matrix, which the graph keeps.
 
     Self-distances are ignored; ties are broken by ascending point index.
     Rows are selected in blocks of at most _BLOCK_ELEMENTS entries, so the
-    temporaries stay bounded and ``d2`` is never copied whole.  ``key``, when
-    given, maps a block of ``d2``'s rows to the distances to select on (the
-    rbf kNN passes its kernel matrix K, and the RKHS distance 2 - 2K as the key).
+    temporaries stay bounded and ``d2`` is never copied whole.  Every kNN in
+    the package selects on ``sq_distance_matrix(points)``.
     """
     b = d2.shape[0]
     if not 1 <= k <= b - 1:
@@ -86,9 +83,8 @@ def knn_from_sq_distances(d2: np.ndarray, k: int,
     indices = np.empty((b, k), dtype=np.int64)
     step = max(1, _BLOCK_ELEMENTS // b)
     for first in range(0, b, step):
-        block = d2[first:first + step]
-        indices[first:first + step] = _select(block if key is None else key(block), first, k)
-    return NeighborGraph(indices)
+        indices[first:first + step] = _select(d2[first:first + step], first, k)
+    return NeighborGraph(indices, pair_matrix=d2)
 
 
 def _select(dist: np.ndarray, first: int, k: int) -> np.ndarray:
@@ -120,7 +116,23 @@ def _select(dist: np.ndarray, first: int, k: int) -> np.ndarray:
 
 def knn_euclidean(points: np.ndarray, k: int) -> NeighborGraph:
     """Brute-force Euclidean kNN over the rows of ``points``."""
-    return knn_from_sq_distances(sq_distance_matrix(points), k)
+    points = np.asarray(points, dtype=np.float64)
+    graph = knn_from_sq_distances(sq_distance_matrix(points), k)
+    graph.points = points
+    return graph
+
+
+def bundle_batch(edges: np.ndarray, gamma: Optional[float] = None):
+    """A bundle as a batch of one row: its center at the origin (row 0) and
+    its k edges as points.  Returns the batch's pair matrix, row 0's neighbor
+    table [[1, ..., k]] and the score that reads the matrix: cosine on D^2
+    of the centred points, or with ``gamma`` rbf on the kernel matrix."""
+    edges = np.asarray(edges, dtype=np.float64)
+    points = np.concatenate([np.zeros((1, edges.shape[1])), edges])
+    sq, neighbors = sq_distance_matrix(points), np.arange(1, len(points))[None]
+    if gamma is None:
+        return sq, neighbors, "cosine"
+    return rbf_kernel_from_sq(sq, gamma), neighbors, "rbf"
 
 
 def edge_bundle(points: np.ndarray, neighbors: NeighborGraph, row: int) -> EdgeBundle:
@@ -147,12 +159,11 @@ def knn_metric(points: np.ndarray, k: int, metric) -> NeighborGraph:
 def curvature_score(bundle: EdgeBundle) -> float:
     """Sum of pairwise cosine similarities between the bundle's edges.
 
-    Bounded by k(k-1)/2 in absolute value.  Raises ValueError for fewer than
-    two edges, and DegenerateEdgeError when an edge is shorter than
-    EDGE_FLOOR (a zero edge has no direction).
+    Bounded by k(k-1)/2 in absolute value.  Raises ValueError for fewer
+    than two edges, and DegenerateEdgeError for an edge too short to resolve
+    against the bundle's spread (numerics.SHORT_EDGE).
     """
-    edges = np.asarray(bundle.edges, dtype=np.float64)
-    return float(cosine_curvature(*unit_edges(edges[None], 0)[1:])[0])
+    return float(curvature_rows(*bundle_batch(bundle.edges))[0])
 
 
 def batch_curvature(points: np.ndarray, k: int, metric="euclidean") -> np.ndarray:
@@ -173,17 +184,17 @@ def curvature_scores_graph(z: Var, neighbors: NeighborGraph, metric="euclidean")
 
     Neighbor selection is fixed; gradients flow through the center and the
     selected neighbor coordinates only.  ``metric`` must be "euclidean" or a
-    KernelSpec with a concrete bandwidth.  The kernel matrix of an rbf kNN
-    under the same spec goes along; the primitive reads it only if the kNN
-    was built from the very array z holds.
+    KernelSpec with a concrete bandwidth.  The kNN's pair matrix goes along
+    when the kNN ran under this very metric; the primitive reads it only if
+    the kNN was built from the very array z holds.
     """
     kind = "euclidean" if metric == "euclidean" else getattr(metric, "kind", None)
     if kind in ("euclidean", "linear"):
         aux = {"score": "cosine"}
     elif kind == "rbf":
         aux = {"score": "rbf", "gamma": metric.gamma}
-        if neighbors.kernel_matrix is not None and neighbors.kernel == metric:
-            aux["kernel"] = (neighbors.points, neighbors.kernel_matrix)
     else:
         raise InvariantViolationError(f"unknown metric {metric!r}")
+    if neighbors.pair_matrix is not None and neighbors.metric == metric:
+        aux["pairs"] = (neighbors.points, neighbors.pair_matrix)
     return z.graph.apply("curvature", z, neighbors=neighbors.indices, **aux)

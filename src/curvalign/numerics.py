@@ -10,9 +10,8 @@ bit-identical.
 
 Each node records at build time whether it depends on a parameter leaf.
 Only such a node can carry gradient, so only its forward rule keeps saved
-residuals: what its adjoint would otherwise recompute (the curvature
-kernel matrix, or its unit edges and norms).  Eager evaluation saves
-nothing.
+residuals: what its adjoint would otherwise recompute (the curvature pair
+matrix).  Eager evaluation saves nothing.
 
 Finiteness is checked at a graph's boundary: every leaf as it is built,
 the differentiated output and every gradient in ``reverse_grad``.  The
@@ -34,14 +33,13 @@ Nothing in the package calls ``broadcast_row``, ``mean_rows``,
 because the benchmark's per-layer metric list names every primitive.
 
 ``curvature`` maps embeddings (b, d) to one kNN curvature score per row
-(b, 1).  Its cosine scores run over bounded row blocks of (rows, k, d) edge
-tensors; its RBF scores read every neighbor pair's kernel value from one
-(b, b) kernel matrix of the batch: the one the rbf kNN built from the same
-array when it lends it, else one built here from ``sq_distance_matrix`` of
-the centred points, the gram expansion every kNN and bandwidth in the
-package uses.  Its block kernels ``cosine_curvature`` and ``rbf_curvature``
-also score single edge bundles in ``geometry`` and ``rkhs``, and own the
-rule that every score needs two edges (ValueError).
+(b, 1).  Both score kinds read one (b, b) pair matrix: the squared
+distances D^2 of the centred points, which every kNN selects on, or the rbf
+kernel matrix K = exp(-gamma D^2); the kNN lends it, else it is built here.
+``pair_terms`` gathers a row block's neighbor pairs from it (cosines from
+D^2, or K), ``curvature_rows`` sums them for batches and single edge
+bundles and owns the rule that every score needs two edges (ValueError),
+and both adjoints are one (b, b) pair weight followed by the same matmuls.
 """
 
 from __future__ import annotations
@@ -197,15 +195,15 @@ def _fwd_broadcast_row(a, *, count):
 
 
 # ---------------------------------------------------------------------------
-# curvature: one score per row from the edges to its neighbors
+# curvature: one score per row from the pairs of its neighbors
 # ---------------------------------------------------------------------------
 
-EDGE_FLOOR = 1e-12
-# elements of one row block's (rows, k, max(d, k)) cosine temporaries, 1 MiB
-# each: a training batch is one or two blocks, and eager scoring of 784-d rows
-# adds MiBs; rbf scores read one (b, b) kernel matrix, gathering its neighbor
-# pairs in (rows, k, k) blocks, and sq_distance_matrix and the kNN selection
-# work on that matrix in (rows, b) blocks of the same size
+# the gram expansion resolves D^2 to about 1e-16 of the batch's largest entry;
+# a cosine whose edge has D^2 <= SHORT_EDGE times that raises DegenerateEdgeError
+SHORT_EDGE = 1e-8
+# elements of one row block's (rows, k, k) gathered pairs, 1 MiB each: a
+# training batch is one block; sq_distance_matrix and the kNN selection work
+# on the (b, b) matrix in (rows, b) blocks of the same size
 _BLOCK_ELEMENTS = 1 << 17
 # elements of one row block's (rows, k, k) pair index and weights in the rbf
 # adjoint, 64 KiB each: temporaries this small are reused from the heap step
@@ -219,16 +217,17 @@ def _row_blocks(b: int, k: int, d: int, elements: int = _BLOCK_ELEMENTS) -> list
 
 
 def sq_distance_matrix(points: Array) -> Array:
-    """All pairwise squared Euclidean distances, O(b^2) memory.
-
-    The gram expansion keeps bit-identical rows at exactly 0, so duplicate
-    tie-breaking stays deterministic; tiny negative values are clamped.  It
-    overwrites the gram matrix in row blocks, so one (b, b) array is live.  A
-    row whose squared norm is not finite raises NonFiniteError naming it.
+    """All pairwise squared Euclidean distances, O(b^2) memory: the gram
+    expansion of the ``centred`` points, which every kNN, bandwidth and score
+    reads.  Bit-identical rows stay at exactly 0; tiny negative values are
+    clamped.  Once the centred copy is freed it overwrites the gram matrix in
+    row blocks, so one (b, b) array is live.  A row whose squared norm is not
+    finite raises NonFiniteError naming it.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = centred(points)
     with np.errstate(all="ignore"):  # a non-finite row is named below
         sq = points @ points.T
+    del points
     diag = sq.diagonal().copy()
     _require_finite_rows(diag)
     step = max(1, _BLOCK_ELEMENTS // max(1, sq.shape[0]))
@@ -246,17 +245,18 @@ def _require_finite_rows(sq_norms: Array) -> None:
 
 
 def centred(points: Array) -> Array:
-    """The points minus their column means, a new array.
+    """The points minus their column midranges (min + max) / 2, a new array.
 
     A shared offset cancels in every difference, and centring keeps the gram
-    expansion's magnitudes at the spread of the points.  Each row's squared
-    norm is checked first: centring would spread one non-finite row over
-    every row, and the NonFiniteError names the row that holds it.  Zero
-    rows have no mean and stay zero rows.
+    expansion's magnitudes at the spread of the points.  The midrange of
+    integer-valued columns is exact, so tied distances there stay tied.
+    Each row's squared norm is checked first: centring would spread one
+    non-finite row over every row, and the NonFiniteError names the row.
     """
     points = np.asarray(points, dtype=np.float64)
     _require_finite_rows(np.einsum("ij,ij->i", points, points))
-    return points - points.mean(axis=0) if len(points) else points.copy()
+    mid = (points.min(axis=0) + points.max(axis=0)) / 2.0 if len(points) else 0.0
+    return points - mid
 
 
 def rbf_kernel_from_sq(sq: Array, gamma: float) -> Array:
@@ -270,59 +270,57 @@ def rbf_kernel_from_sq(sq: Array, gamma: float) -> Array:
 def rbf_kernel_matrix(points: Array, gamma: float) -> Array:
     """exp(-gamma ||x_p - x_q||^2) over all row pairs (b, b); diagonal exactly 1.
 
-    The distances are the gram expansion of the column-centred points, the
-    same steps ``rkhs.knn_rkhs`` takes, so the two matrices are equal bit
-    for bit.
+    The distances are ``sq_distance_matrix``'s, as in ``rkhs.knn_rkhs``, so
+    the two matrices are equal bit for bit.
     """
-    return rbf_kernel_from_sq(sq_distance_matrix(centred(points)), gamma)
+    return rbf_kernel_from_sq(sq_distance_matrix(points), gamma)
 
 
-def _require_two_edges(k: int) -> None:
+def pair_terms(matrix: Array, neighbors: Array, score: str, first: int = 0) -> Array:
+    """The terms over each row's ordered neighbor pairs (m, k, k), diagonal
+    zeroed, for rows first, first + 1, ... of the pair matrix: K[n_a, n_b]
+    for rbf; for cosine (r_a^2 + r_b^2 - D^2[n_a, n_b]) / (2 r_a r_b) with
+    r_a^2 = D^2[i, n_a], where r_a^2 <= SHORT_EDGE max(D^2) raises
+    DegenerateEdgeError.
+    """
+    pairs = matrix[neighbors[:, :, None], neighbors[:, None, :]]
+    if score == "cosine":
+        r2 = matrix[np.arange(first, first + len(neighbors))[:, None], neighbors]
+        if r2.size and r2.min() <= SHORT_EDGE * matrix.max():
+            row, a = np.unravel_index(np.argmin(r2), r2.shape)
+            raise DegenerateEdgeError(f"row {first + row}: edge to neighbor {a} has a squared "
+                                      f"length <= {SHORT_EDGE:g} of the largest in its batch")
+        inv = 1.0 / np.sqrt(r2)
+        np.subtract(r2[:, :, None], pairs, out=pairs)
+        pairs += r2[:, None, :]
+        pairs *= inv[:, :, None]
+        pairs *= (0.5 * inv)[:, None, :]
+    diag = np.arange(neighbors.shape[1])
+    pairs[:, diag, diag] = 0.0
+    return pairs
+
+
+def curvature_rows(matrix: Array, neighbors: Array, score: str) -> Array:
+    """Each row's sum of ``pair_terms`` over its neighbor pairs a < b, (m,).
+
+    Row i of ``neighbors`` lists row i's neighbors in the pair matrix: the
+    kernel matrix for rbf, the squared distances for cosine.  The
+    (rows, k, k) pairs run over row blocks."""
+    k = neighbors.shape[1]
     if k < 2:
         raise ValueError("curvature needs at least two edges")
-
-
-def rbf_curvature(kernel: Array, neighbors: Array) -> Array:
-    """Sum of kernel[n_a, n_b] over each row's neighbor pairs a < b, (b,).
-
-    The (rows, k, k) gathered pairs run over row blocks."""
-    k = neighbors.shape[1]
-    _require_two_edges(k)
-    diag = np.arange(k)
     out = np.empty(neighbors.shape[0])
     for rows in _row_blocks(*neighbors.shape, k):
-        nb = neighbors[rows]
-        pairs = kernel[nb[:, :, None], nb[:, None, :]]
-        pairs[:, diag, diag] = 0.0
-        out[rows] = pairs.sum(axis=(1, 2)) / 2.0
+        out[rows] = pair_terms(matrix, neighbors[rows], score, rows.start).sum(axis=(1, 2)) / 2.0
     return out
 
 
-def unit_edges(edges: Array, first_row: int):
-    """Norms (m, k), unit edges (m, k, d) and their per-row sum (m, d)."""
-    norms = np.sqrt(np.einsum("mkd,mkd->mk", edges, edges))
-    if norms.size and norms.min() <= EDGE_FLOOR:
-        row, a = np.unravel_index(np.argmin(norms), norms.shape)
-        raise DegenerateEdgeError(
-            f"row {first_row + row}: edge to neighbor {a} has norm <= {EDGE_FLOOR}"
-        )
-    unit = edges / norms[..., None]
-    return norms, unit, unit.sum(axis=1)
+def _fwd_curvature(z, *, neighbors, score, gamma=None, pairs=None, save=False):
+    """Scores (b, 1) and, with ``save``, the pair matrix the adjoint reads.
 
-
-def cosine_curvature(unit: Array, total: Array) -> Array:
-    """Sum of cosines over edge pairs, (||s||^2 - sum_a ||u_a||^2) / 2 per row."""
-    _require_two_edges(unit.shape[1])
-    return (np.einsum("md,md->m", total, total) - np.einsum("mkd,mkd->m", unit, unit)) / 2.0
-
-
-def _fwd_curvature(z, *, neighbors, score, gamma=None, kernel=None, save=False):
-    """Scores (b, 1) and, with ``save``, the residuals the adjoint reads.
-
-    ``kernel`` is an rbf kNN's (points, K) pair: K is used only when
+    ``pairs`` is a kNN's (points, pair matrix): the matrix is used only when
     ``points`` is the very array ``z``, so a re-evaluation on other inputs
-    (``forward_values``, finite differences) builds its own.  Saved: K for
-    rbf; each row block's (norms, unit edges, their sum) for cosine.
+    (``forward_values``, finite differences) builds its own.
     """
     _require_2d(z, "curvature")
     nb = np.asarray(neighbors, dtype=np.int64)
@@ -330,20 +328,15 @@ def _fwd_curvature(z, *, neighbors, score, gamma=None, kernel=None, save=False):
         raise ShapeMismatchError(f"curvature: neighbors {nb.shape} for {z.shape[0]} rows")
     if nb.size and (nb.min() < 0 or nb.max() >= z.shape[0]):
         raise ShapeMismatchError(f"curvature: neighbor index out of range for {z.shape[0]} rows")
-    if score == "rbf":
-        lent = kernel is not None and kernel[0] is z
-        matrix = kernel[1] if lent else rbf_kernel_matrix(z, gamma)
-        return rbf_curvature(matrix, nb)[:, None], matrix if save else None
-    if score != "cosine":
+    if score not in ("cosine", "rbf"):
         raise ValueError(f"unknown curvature score {score!r}")
-    out = np.empty((z.shape[0], 1))
-    blocks = []
-    for rows in _row_blocks(*nb.shape, z.shape[1]):
-        norms, unit, total = unit_edges(z[nb[rows]] - z[rows, None, :], rows.start)
-        out[rows, 0] = cosine_curvature(unit, total)
-        if save:
-            blocks.append((norms, unit, total))
-    return out, blocks if save else None
+    if pairs is not None and pairs[0] is z:
+        matrix = pairs[1]
+    elif score == "rbf":
+        matrix = rbf_kernel_matrix(z, gamma)
+    else:
+        matrix = sq_distance_matrix(z)
+    return curvature_rows(matrix, nb, score)[:, None], matrix if save else None
 
 
 # ---------------------------------------------------------------------------
@@ -392,45 +385,48 @@ def _bwd_standardize(ins, out, g, aux):
 def _bwd_curvature(ins, out, g, aux):
     """Closed-form adjoint of the curvature scores.
 
-    It reads the forward's saved residuals (``aux["saved"]``, which
-    ``reverse_grad`` passes), or runs the forward again to get them when
-    called without.
-    cosine: d/de_a = g (s - (u_a . s) u_a) / ||e_a||, added to the neighbor row
-    and subtracted from the center row, over the forward's row blocks.
-    rbf: each pair term K_pq = exp(-gamma ||x_p - x_q||^2) is one entry of the
-    batch kernel matrix K whichever row's neighborhood holds it, so the rows
-    sum into one pair weight C_pq = sum_i g_i #{(a, b): n_a = p, n_b = q},
-    p != q, over the ordered neighbor pairs of each row i (the diagonal
-    carries no gradient: x_p - x_p = 0).  ``np.add.at`` adds each row
-    block's weights into one zeroed (b * b,) vector in input order, row by row
-    and pair by pair, the order of one ``np.bincount`` over all pairs, over
-    blocks of at most _PAIR_ELEMENTS pairs.  With W = C o K (K the saved
-    matrix), d/dx = 2 gamma (W x - rowsum(W) o x), on column-centred x: the
-    center row cancels, and so does a shared offset.
+    It reads the forward's saved pair matrix (``aux["saved"]``, which
+    ``reverse_grad`` passes), or runs the forward again to get it.  Every
+    entry P_pq is a function of ||x_p - x_q||^2, so the scores' derivatives
+    sum into one symmetric pair weight W (the diagonal carries none), and
+    d/dx = scale (W x - rowsum(W) o x) on the centred x.  ``np.add.at`` adds
+    each row block's weights into one zeroed (b * b,) vector in input order:
+    cosine re-gathers the matrix over the forward's row blocks (fewer numpy
+    calls measured faster on desk-euclid), rbf over _PAIR_ELEMENTS blocks.
+    rbf: W = C o K with C_pq = sum_i g_i #{(a, b): n_a = p, n_b = q} over each
+    row i's ordered neighbor pairs; scale 2 gamma.  cosine: W_pq = d/dD^2_pq,
+    -g_i / (2 r_a r_b) at (n_a, n_b) and g_i / (4 r_a^3) sum_b (D^2[n_a, n_b]
+    + r_a^2 - r_b^2) / r_b at (i, n_a) and (n_a, i); scale -2.
     """
     z = ins[0]
     nb = np.asarray(aux["neighbors"], dtype=np.int64)
-    saved = aux["saved"] if "saved" in aux else _fwd_curvature(z, save=True, **aux)[1]
-    if aux["score"] == "rbf":
-        b, k = nb.shape
-        w = np.zeros(b * b)
-        for rows in _row_blocks(b, k, k, _PAIR_ELEMENTS):
-            pairs = nb[rows, :, None] * b + nb[rows, None, :]
+    matrix = aux["saved"] if "saved" in aux else _fwd_curvature(z, save=True, **aux)[1]
+    b, k = nb.shape
+    w = np.zeros(b * b)
+    rbf = aux["score"] == "rbf"
+    for rows in _row_blocks(b, k, k, _PAIR_ELEMENTS if rbf else _BLOCK_ELEMENTS):
+        pairs = nb[rows, :, None] * b + nb[rows, None, :]
+        if rbf:
             np.add.at(w, pairs.ravel(), np.repeat(g[rows, 0], k * k))
-        w = w.reshape(b, b)
-        np.fill_diagonal(w, 0.0)
-        w *= saved
-        centred_z = z - z.mean(axis=0)
-        adj = w @ centred_z
-        adj -= w.sum(axis=1)[:, None] * centred_z
-        adj *= 2.0 * aux["gamma"]
-        return adj
-    adj = np.zeros_like(z)
-    for rows, (norms, unit, total) in zip(_row_blocks(*nb.shape, z.shape[1]), saved):
-        along = np.einsum("mkd,md->mk", unit, total)[..., None]
-        ge = (total[:, None, :] - along * unit) * (g[rows, :, None] / norms[..., None])
-        adj[rows] -= ge.sum(axis=1)
-        adj += _segment_sum(ge.reshape(-1, z.shape[1]), nb[rows].ravel(), z.shape[0])
+            continue
+        centre = np.arange(rows.start, rows.stop)[:, None]
+        r2 = matrix[centre, nb[rows]]
+        inv = 1.0 / np.sqrt(r2)
+        d2 = matrix[nb[rows, :, None], nb[rows, None, :]] + r2[:, :, None] - r2[:, None, :]
+        g_inv = g[rows] * inv
+        pair_w = g_inv[:, :, None] * (-0.5 * inv)[:, None, :]
+        edge_w = 0.25 * g_inv * inv * inv * (d2 @ inv[:, :, None])[..., 0]
+        np.add.at(w, np.concatenate([pairs.ravel(), (centre * b + nb[rows]).ravel(),
+                                     (nb[rows] * b + centre).ravel()]),
+                  np.concatenate([pair_w.ravel(), edge_w.ravel(), edge_w.ravel()]))
+    w = w.reshape(b, b)
+    np.fill_diagonal(w, 0.0)
+    if rbf:
+        w *= matrix
+    x = centred(z)
+    adj = w @ x
+    adj -= w.sum(axis=1)[:, None] * x
+    adj *= 2.0 * aux["gamma"] if rbf else -2.0
     return adj
 
 

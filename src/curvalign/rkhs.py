@@ -3,8 +3,8 @@
 Edge vectors are kernelized directly: the feature map is never
 materialized, every quantity is expressed through k(., .).  With the linear
 kernel everything here reduces exactly to the Euclidean machinery in
-``geometry``.  An rbf bundle is scored by the curvature primitive's
-``rbf_curvature`` over its normalized Gram matrix, every edge a neighbor.
+``geometry``.  The rbf kNN selects on the same centred D^2 as the Euclidean
+one and lends K; a bundle is scored as a batch of one row, as in ``geometry``.
 """
 
 from __future__ import annotations
@@ -16,15 +16,17 @@ import numpy as np
 
 from .errors import InvariantViolationError, ShapeMismatchError
 from .geometry import (
-    EDGE_FLOOR,
     EdgeBundle,
     NeighborGraph,
-    curvature_score,
+    bundle_batch,
     knn_euclidean,
     knn_from_sq_distances,
     sq_distance_matrix,
 )
-from .numerics import centred, rbf_curvature, rbf_kernel_from_sq, rbf_kernel_matrix, unit_edges
+from .numerics import curvature_rows, pair_terms, rbf_kernel_from_sq
+
+# the median heuristic falls back to gamma = 1.0 at or below this median distance
+EDGE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,11 @@ class KernelSpec:
 def median_heuristic_gamma(points: np.ndarray) -> float:
     """gamma = 1 / (2 * median(pairwise distance)^2) over the batch.
 
-    Falls back to 1.0 when the points are (numerically) all identical.  The
-    distances come from the column-centred points, as in ``knn_rkhs``,
-    which takes the same bandwidth, bit for bit, from the distance matrix
-    it builds for the kNN, so it does not call this.
+    Falls back to 1.0 when the points are (numerically) all identical.
+    ``knn_rkhs`` takes the same bandwidth, bit for bit, from the centred
+    distance matrix it builds for the kNN, so it does not call this.
     """
-    return _median_gamma(sq_distance_matrix(centred(points)))
+    return _median_gamma(sq_distance_matrix(points))
 
 
 def _median_gamma(sq: np.ndarray) -> float:
@@ -86,7 +87,10 @@ def kernel_eval(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.exp(-_gamma(spec) * (d @ d)))
 
 
-def _gamma(spec: KernelSpec) -> float:
+def _gamma(spec: KernelSpec) -> Optional[float]:
+    """The rbf bandwidth; None for the linear kernel."""
+    if spec.kind == "linear":
+        return None
     if spec.gamma is None:
         raise ValueError("rbf spec has no bandwidth; resolve it against a batch first")
     return spec.gamma
@@ -101,55 +105,41 @@ def rkhs_distance(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
 def knn_rkhs(points: np.ndarray, k: int, spec: KernelSpec) -> NeighborGraph:
     """Brute-force kNN under the RKHS distance; same tie rule as knn_euclidean.
 
-    The linear kernel's RKHS distance is the Euclidean one.  For rbf, one
-    squared-distance matrix of the column-centred points feeds the
-    median-heuristic bandwidth (when ``spec`` leaves it unset), then turns
-    into the kernel matrix K = exp(-gamma sq) in place; the kNN selects on
-    the RKHS distance 2 - 2K, formed one row block at a time.  The
-    returned graph records the resolved spec as ``kernel``, and for rbf
-    keeps K and ``points`` so that scoring these points reads K.
+    The linear kernel's kNN is ``knn_euclidean``.  The rbf RKHS distance
+    2 - 2 exp(-gamma D^2) grows with D^2, so the rbf kNN takes the median
+    bandwidth (when ``spec`` leaves it unset) from D^2 of the centred
+    points, selects on that D^2, and only then turns it into the kernel
+    matrix K in place, which the graph keeps with ``points`` and the
+    resolved spec as ``kernel``.
     """
     points = np.asarray(points, dtype=np.float64)
     if spec.kind == "linear":
         graph = knn_euclidean(points, k)
     else:
-        kernel = sq_distance_matrix(centred(points))
+        sq = sq_distance_matrix(points)
         if spec.gamma is None:
-            spec = KernelSpec("rbf", _median_gamma(kernel))
-        rbf_kernel_from_sq(kernel, spec.gamma)
-        graph = knn_from_sq_distances(kernel, k, key=_rkhs_sq_distance)
-        graph.points, graph.kernel_matrix = points, kernel
+            spec = KernelSpec("rbf", _median_gamma(sq))
+        graph = knn_from_sq_distances(sq, k)
+        graph.points = points
+        rbf_kernel_from_sq(sq, spec.gamma)  # the graph's pair matrix, in place
     graph.kernel = spec
     return graph
-
-
-def _rkhs_sq_distance(kernel_rows: np.ndarray) -> np.ndarray:
-    """2 - 2K of rows of an rbf kernel matrix, a new array (K in [0, 1]: no clamp)."""
-    out = np.multiply(kernel_rows, 2.0)
-    return np.subtract(2.0, out, out=out)
 
 
 def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel matrix of the edges rescaled to unit diagonal.
 
     For the kernels in scope all entries land in [-1, 1]; the diagonal is
-    exactly 1.  A linear kernel with a zero edge has a zero self-kernel and
-    raises DegenerateEdgeError.
+    exactly 1.  The others are the curvature primitive's pair terms of the
+    bundle as a batch of one row; a linear edge too short to resolve (a zero
+    edge has no direction) raises DegenerateEdgeError.
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    if spec.kind == "linear":
-        unit = unit_edges(edges[None], 0)[1][0]
-        values = unit @ unit.T
-        np.fill_diagonal(values, 1.0)
-        return values
-    return rbf_kernel_matrix(edges, _gamma(spec))
+    values = pair_terms(*bundle_batch(edges, _gamma(spec)))[0]
+    np.fill_diagonal(values, 1.0)
+    return values
 
 
 def kernel_curvature_score(bundle: EdgeBundle, spec: KernelSpec) -> float:
     """Sum of the strict upper triangle of the normalized edge kernel matrix
     (``curvature_score`` for the linear kernel); ValueError below two edges."""
-    if spec.kind == "linear":
-        return curvature_score(bundle)
-    edges = np.asarray(bundle.edges, dtype=np.float64)
-    every_edge = np.arange(edges.shape[0])[None]  # one row, all k edges its neighbors
-    return float(rbf_curvature(normalized_gram(edges, spec), every_edge)[0])
+    return float(curvature_rows(*bundle_batch(bundle.edges, _gamma(spec)))[0])

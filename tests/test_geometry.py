@@ -80,8 +80,8 @@ def test_knn_selection_in_row_blocks_matches_full_sort_oracle(monkeypatch):
 
 
 def test_eager_scoring_saves_no_residuals():
-    # the cosine residuals of 1024 x 784 rows at k = 10 would hold 64 MiB of
-    # unit edges; scoring without a parameter keeps none of them
+    # a node that depends on a parameter saves its (b, b) pair matrix;
+    # scoring without a parameter keeps none
     import tracemalloc
 
     points = np.random.default_rng(14).normal(size=(1024, 784))
@@ -168,6 +168,33 @@ def test_degenerate_edge_raises():
     dup_points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(DegenerateEdgeError):
         batch_curvature(dup_points, 2)
+
+
+def test_short_edges_score_to_the_oracle_or_raise():
+    # the gram expansion resolves D^2 to about 1e-16 of the spread^2: an edge
+    # down to 1e-4 of the spread still scores to 1e-6, a shorter one raises
+    rng = np.random.default_rng(15)
+    outcomes = []
+    for b, d in ((64, 5), (128, 32)):
+        base = rng.normal(size=(b, d))
+        spread = np.sqrt(max(np.sum((p - q) ** 2) for p in base for q in base))
+        for ratio in np.logspace(-3, -12, 10):
+            pts = base.copy()
+            step = rng.normal(size=d)
+            pts[1] = pts[0] + ratio * spread * step / np.linalg.norm(step)
+            want = curvature_per_point(pts, 10, "euclidean", None)
+            try:
+                got = batch_curvature(pts, 10)
+            except DegenerateEdgeError as err:
+                assert str(err).startswith("row ") and ": edge to neighbor " in str(err), err
+                outcomes.append((ratio, "raised"))
+                continue
+            assert np.max(np.abs(got - want)) <= 1e-6, (b, d, ratio)
+            outcomes.append((ratio, "scored"))
+    assert (1e-3, "scored") in outcomes and (1e-12, "raised") in outcomes
+    edges = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-9, 0.0, 0.0]])
+    with pytest.raises(DegenerateEdgeError, match="row 0: edge to neighbor 2"):
+        curvature_score(EdgeBundle(np.zeros(3), edges))
 
 
 def test_batch_curvature_unit_square():

@@ -398,12 +398,12 @@ def test_curvature_residuals_are_saved_and_pass_finite_differences(monkeypatch, 
     for trial in range(3):
         rng = np.random.default_rng([zlib.crc32(name.encode()), trial, 1])
         g = Graph()
-        if lend:  # scored from a kNN of the leaf: an rbf kNN lends its matrix
+        if lend:  # scored from a kNN of the leaf: the kNN lends its pair matrix
             z = g.leaf(_rand(rng, (9, 3), -1.0, 1.0), param=True)
             metric = KernelSpec("rbf") if name == "curvature:rbf" else "euclidean"
             nb = knn_metric(z.value, 4, metric)
             scores = curvature_scores_graph(z, nb, nb.metric)
-            assert ("kernel" in g.nodes[scores.idx].aux) == (name == "curvature:rbf")
+            assert "pairs" in g.nodes[scores.idx].aux
         else:
             scores = dict(CASES)[name](g, rng)
         node = g.nodes[scores.idx]
@@ -417,7 +417,7 @@ def test_curvature_residuals_are_saved_and_pass_finite_differences(monkeypatch, 
 
         leaf = node.inputs[0]
         other = g.nodes[leaf].value + rng.uniform(-0.1, 0.1, size=g.nodes[leaf].value.shape)
-        aux = {key: v for key, v in node.aux.items() if key != "kernel"}
+        aux = {key: v for key, v in node.aux.items() if key != "pairs"}
         fresh = eval_primitive("curvature", [other], **aux)
         assert np.array_equal(g.forward_values({leaf: other})[scores.idx], fresh)
 
@@ -447,6 +447,33 @@ def test_rbf_training_step_builds_one_distance_matrix_per_view(monkeypatch):
     steps = []
     config = TrainConfig(architecture=Architecture(8, (16,), (16, 4)), epochs=1,
                          batch_size=32, k=5, metric="rbf", seed=3,
+                         augmentation=AugmentationPolicy(0.05, 0.1, 0))
+    pretrain(config, make_blobs(32, 2, 8, 0.1, seed=3), on_step=lambda *a: steps.append(a))
+    assert len(steps) == 1
+    assert built == [(32, 4), (32, 4)]
+
+
+def test_euclidean_training_step_builds_one_distance_matrix_per_view(monkeypatch):
+    # the Euclidean kNN's D^2 serves the selection, the cosine scores and
+    # their adjoint: no second matrix anywhere in the step
+    from curvalign import geometry, rkhs
+    from curvalign.data import AugmentationPolicy, make_blobs
+    from curvalign.model import Architecture
+    from curvalign.trainer import TrainConfig, pretrain
+
+    built = []
+
+    def counting(fn):
+        def wrapped(points):
+            built.append(np.shape(points))
+            return fn(points)
+        return wrapped
+
+    for module in (numerics, geometry, rkhs):
+        monkeypatch.setattr(module, "sq_distance_matrix", counting(module.sq_distance_matrix))
+    steps = []
+    config = TrainConfig(architecture=Architecture(8, (16,), (16, 4)), epochs=1,
+                         batch_size=32, k=5, metric="euclidean", seed=3,
                          augmentation=AugmentationPolicy(0.05, 0.1, 0))
     pretrain(config, make_blobs(32, 2, 8, 0.1, seed=3), on_step=lambda *a: steps.append(a))
     assert len(steps) == 1
@@ -571,6 +598,91 @@ def test_rbf_curvature_is_translation_robust():
     assert np.max(np.abs(shifted_adj - adj)) <= 1e-9
 
 
+# -- cosine curvature: the kNN's D^2 against the per-row unit edges ---------
+
+def _edge_cosine_scores_and_adjoint(z, nb, g):
+    """The unit-edge formulation over bounded row blocks: the (rows, k, d)
+    edges e_a = x_{n_a} - x_i of each row, their unit vectors u_a and sum s,
+    scores (||s||^2 - sum_a ||u_a||^2) / 2 and the adjoint
+    g (s - (u_a . s) u_a) / ||e_a||, added to the neighbor rows and
+    subtracted from the center row."""
+    scores = np.empty(z.shape[0])
+    adj = np.zeros_like(z)
+    for rows in numerics._row_blocks(*nb.shape, z.shape[1]):
+        edges = z[nb[rows]] - z[rows, None, :]
+        norms = np.sqrt(np.einsum("mkd,mkd->mk", edges, edges))
+        unit = edges / norms[..., None]
+        total = unit.sum(axis=1)
+        scores[rows] = (np.einsum("md,md->m", total, total)
+                        - np.einsum("mkd,mkd->m", unit, unit)) / 2.0
+        along = np.einsum("mkd,md->mk", unit, total)[..., None]
+        ge = (total[:, None, :] - along * unit) * (g[rows, :, None] / norms[..., None])
+        adj[rows] -= ge.sum(axis=1)
+        np.add.at(adj, nb[rows].ravel(), ge.reshape(-1, z.shape[1]))
+    return scores, adj
+
+
+def _cosine_scores_and_adjoint(z, nb, g):
+    aux = {"neighbors": nb, "score": "cosine"}
+    scores = eval_primitive("curvature", [z], **aux)[:, 0]
+    return scores, numerics._BACKWARD["curvature"][0]([z], None, g, aux)
+
+
+@pytest.mark.parametrize("b", [3, 64, 256])
+def test_cosine_curvature_equals_the_per_row_unit_edge_formulation(b):
+    rng = np.random.default_rng([9, b])
+    for k in sorted({2, min(10, b - 1), b - 1}):
+        sets = _rbf_point_sets(rng, b)
+        del sets["duplicated"]  # zero edges have no direction
+        for set_name, points in sets.items():
+            g = rng.uniform(-1.5, 1.5, size=(b, 1))
+            for table_name, nb in _rbf_tables(rng, points, k).items():
+                want_s, want_adj = _edge_cosine_scores_and_adjoint(points, nb, g)
+                got_s, got_adj = _cosine_scores_and_adjoint(points, nb, g)
+                case = f"b={b} k={k} {set_name} {table_name}"
+                assert _rel_err(got_s, want_s) <= 1e-12, case
+                # relative to the adjoint's unit g / r as well: a row of one
+                # neighbor listed twice scores a constant, so both adjoints of
+                # k = 2 with a repeated neighbor are round-off
+                unit = np.max(np.abs(g)) / np.min(np.linalg.norm(points[nb] - points[:, None], axis=2))
+                err = np.max(np.abs(got_adj - want_adj)) / max(np.max(np.abs(want_adj)), unit)
+                assert err <= 1e-12, case
+
+
+def test_cosine_curvature_temporaries_stay_bounded_at_large_k():
+    # the gathered pairs and pair weights grow as b k^2, as for rbf; row
+    # blocks bound them
+    import tracemalloc
+
+    from curvalign.geometry import knn_euclidean
+
+    rng = np.random.default_rng(32)
+    b, k = 256, 255
+    z = rng.normal(size=(b, 6))
+    nb = knn_euclidean(z, k).indices
+    g = rng.uniform(-1.5, 1.5, size=(b, 1))
+    tracemalloc.start()
+    try:
+        _cosine_scores_and_adjoint(z, nb, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_cosine_curvature_is_translation_robust():
+    from curvalign.geometry import knn_euclidean
+
+    rng = np.random.default_rng(33)
+    z = rng.normal(size=(64, 8))
+    nb = knn_euclidean(z, 10).indices
+    g = rng.uniform(0.5, 1.5, size=(64, 1))
+    scores, adj = _cosine_scores_and_adjoint(z, nb, g)
+    shifted_scores, shifted_adj = _cosine_scores_and_adjoint(z + 1e3, nb, g)
+    assert np.max(np.abs(shifted_scores - scores)) <= 1e-9
+    assert np.max(np.abs(shifted_adj - adj)) <= 1e-9
+
+
 # -- rbf pair weight: row-blocked np.add.at against one np.bincount ----------
 
 def _bincount_rbf_adjoint(z, nb, gamma, g, kernel):
@@ -581,7 +693,7 @@ def _bincount_rbf_adjoint(z, nb, gamma, g, kernel):
     w = np.bincount(pairs, weights=np.repeat(g[:, 0], k * k), minlength=b * b).reshape(b, b)
     np.fill_diagonal(w, 0.0)
     w *= kernel
-    centred_z = z - z.mean(axis=0)
+    centred_z = z - (z.min(axis=0) + z.max(axis=0)) / 2.0
     adj = w @ centred_z
     adj -= w.sum(axis=1)[:, None] * centred_z
     adj *= 2.0 * gamma

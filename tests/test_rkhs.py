@@ -12,7 +12,6 @@ from curvalign.errors import (
     ShapeMismatchError,
 )
 from curvalign.geometry import (
-    EDGE_FLOOR,
     EdgeBundle,
     NeighborGraph,
     batch_curvature,
@@ -26,6 +25,7 @@ from curvalign.geometry import (
 from curvalign.losses import total_loss_arrays
 from curvalign.numerics import Graph, finite_diff_check
 from curvalign.rkhs import (
+    EDGE_FLOOR,
     KernelSpec,
     kernel_curvature_score,
     kernel_eval,
@@ -36,7 +36,7 @@ from curvalign.rkhs import (
     rkhs_distance,
 )
 
-from oracles import knn_kernel_full_sort
+from oracles import knn_full_sort, knn_kernel_full_sort
 
 
 def test_kernel_spec_validation():
@@ -100,6 +100,26 @@ def test_knn_rkhs_rbf_equals_euclidean():
         )
 
 
+def test_every_knn_keeps_the_index_tie_rule_on_integer_grids(monkeypatch):
+    # integer grids tie distances exactly; centring on each column's
+    # midrange keeps them exact, so every metric breaks ties by index
+    import curvalign.geometry as geometry
+
+    monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 64)
+    grid = np.array([[0, 2, 2], [0, 1, 0], [0, 0, 0], [1, 0, 1], [2, 0, 2]], dtype=np.float64)
+    assert knn_rkhs(grid, 2, KernelSpec("rbf", 0.5)).indices[3].tolist() == [2, 4]
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        b = int(rng.integers(4, 65))
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(b, 9)))
+        pts = rng.integers(0, 3, size=(b, d)).astype(np.float64)
+        want = knn_full_sort(pts, k)
+        assert np.array_equal(knn_euclidean(pts, k).indices, want)
+        for spec in (KernelSpec("rbf", 0.5), KernelSpec("linear")):
+            assert np.array_equal(knn_rkhs(pts, k, spec).indices, want), spec
+
+
 def test_knn_rkhs_line_matches_oracle():
     pts = np.array([[0.0], [1.0], [3.0]])
     got = knn_rkhs(pts, 1, KernelSpec("rbf", 0.8)).indices
@@ -115,19 +135,27 @@ def test_knn_rkhs_resolves_missing_gamma():
     assert auto.kernel == KernelSpec("rbf", 0.125)
 
 
-def _two_pass_gamma(points):
+def _uncentred_sq_distances(points):
+    """The gram expansion of the points as given, which the kNN selected on
+    before it centred them."""
+    gram = points @ points.T
+    diag = gram.diagonal()
+    return np.maximum(diag[:, None] + diag - 2.0 * gram, 0.0)
+
+
+def _two_pass_gamma(points, sq_distances=sq_distance_matrix):
     """The median heuristic on its own distance matrix, with the triu mask."""
     n = points.shape[0]
     if n < 2:
         return 1.0
-    dist = np.sqrt(sq_distance_matrix(points))
+    dist = np.sqrt(sq_distances(points))
     med = float(np.median(dist[np.triu(np.ones((n, n), dtype=bool), 1)]))
     return 1.0 if med <= EDGE_FLOOR else 1.0 / (2.0 * med * med)
 
 
-def _two_pass_sq_distances(points, gamma):
+def _two_pass_sq_distances(points, gamma, sq_distances=sq_distance_matrix):
     """The rbf RKHS distances from a second matrix, transformed out of place."""
-    return np.maximum(2.0 - 2.0 * np.exp(-gamma * sq_distance_matrix(points)), 0.0)
+    return np.maximum(2.0 - 2.0 * np.exp(-gamma * sq_distances(points)), 0.0)
 
 
 def _scores_or_error(score):
@@ -138,14 +166,15 @@ def _scores_or_error(score):
 
 
 def test_one_matrix_rbf_knn_is_bit_identical_to_two_passes(monkeypatch):
-    # the reference takes two passes over the column-centred points; the
-    # neighbors must also equal those of the uncentred selection the kNN
-    # made before it moved to the centred expansion
-    selected = []  # the RKHS distances knn_rkhs selects from
+    # the reference takes two passes, each with its own distance matrix;
+    # knn_rkhs selects on the squared distances, and its neighbors must equal
+    # those of selecting on the RKHS distance 2 - 2K, also from the
+    # uncentred expansion
+    selected = []  # the distances knn_rkhs selects from
 
-    def recording(d2, k, key=None):
-        selected.append(d2.copy() if key is None else key(d2))
-        return knn_from_sq_distances(d2, k, key)
+    def recording(d2, k):
+        selected.append(d2.copy())
+        return knn_from_sq_distances(d2, k)
 
     monkeypatch.setattr(rkhs, "knn_from_sq_distances", recording)
     rng = np.random.default_rng(21)
@@ -161,19 +190,19 @@ def test_one_matrix_rbf_knn_is_bit_identical_to_two_passes(monkeypatch):
         (np.full((5, 2), 0.7), 2),  # all identical: gamma falls back to 1.0
     ]
     for points, k in cases:
-        centred = points - points.mean(axis=0)
-        gamma = _two_pass_gamma(centred)
-        d2 = _two_pass_sq_distances(centred, gamma)
+        gamma = _two_pass_gamma(points)
+        d2 = _two_pass_sq_distances(points, gamma)
+        raw = _uncentred_sq_distances
         uncentred = knn_from_sq_distances(
-            _two_pass_sq_distances(points, _two_pass_gamma(points)), k)
+            _two_pass_sq_distances(points, _two_pass_gamma(points, raw), raw), k)
         old = knn_from_sq_distances(d2, k)
         selected.clear()
         new = knn_rkhs(points, k, KernelSpec("rbf"))
         assert median_heuristic_gamma(points) == gamma
         assert resolve_spec(KernelSpec("rbf"), points).gamma == gamma
         assert new.kernel == KernelSpec("rbf", gamma)
-        assert np.array_equal(new.kernel_matrix, np.exp(-gamma * sq_distance_matrix(centred)))
-        assert np.array_equal(selected[0], d2)
+        assert np.array_equal(new.pair_matrix, np.exp(-gamma * sq_distance_matrix(points)))
+        assert np.array_equal(selected[0], sq_distance_matrix(points))
         assert np.array_equal(new.indices, old.indices)
         assert np.array_equal(new.indices, uncentred.indices)
         if k < 2:
