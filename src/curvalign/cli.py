@@ -20,10 +20,10 @@ import numpy as np
 from . import data as data_mod
 from . import errors as E
 from .data import AugmentationPolicy, Dataset, load_idx, write_csv
-from .geometry import batch_curvature
+from .geometry import graph_curvature, knn_euclidean
 from .losses import Weights
 from .model import Architecture, Checkpoint, load_checkpoint, save_checkpoint
-from .rkhs import KernelSpec
+from .rkhs import KernelSpec, rbf_graph
 from .trainer import TrainConfig, export_embeddings, linear_probe, pretrain
 
 
@@ -324,8 +324,9 @@ def _cmd_curvature(cfg: RunConfig, out_dir: Path, args) -> int:
         raise E.InvariantViolationError(
             f"curvature needs more than k={cfg.k} points, got {points.shape[0]}"
         )
-    euclid = batch_curvature(points, cfg.k, "euclidean")
-    kernel = batch_curvature(points, cfg.k, KernelSpec("rbf", cfg.rbf_gamma))
+    graph = knn_euclidean(points, cfg.k)  # one kNN for both metrics
+    euclid = graph_curvature(graph)
+    kernel = graph_curvature(rbf_graph(graph, KernelSpec("rbf", cfg.rbf_gamma)))
     write_resolved(cfg, out_dir)
     write_csv(out_dir / "curvature.csv", ("index", "label", "euclidean", "kernel"),
               ((i, *row) for i, row in enumerate(zip(labels, euclid, kernel))))

@@ -91,7 +91,7 @@ def _select(dist: np.ndarray, first: int, k: int) -> np.ndarray:
     """The k nearest of rows first, first + 1, ... given their distances (m, b).
 
     Each row's k-th smallest distance comes from a partition; when exactly k
-    entries lie at or below it they are the neighbors, ordered by (distance,
+    entries lie at or below it, one flat scan finds them, ordered by (distance,
     index).  Rows whose ties straddle position k fall back to a stable sort.
     """
     m, b = dist.shape
@@ -104,7 +104,7 @@ def _select(dist: np.ndarray, first: int, k: int) -> np.ndarray:
     chosen[own] = False
     tied = np.count_nonzero(chosen, axis=1) != k
     chosen[tied] = False
-    cols = np.nonzero(chosen)[1].reshape(-1, k)  # ascending index within a row
+    cols = np.flatnonzero(chosen).reshape(-1, k) % b  # ascending within a row
     order = np.argsort(dist[np.flatnonzero(~tied)[:, None], cols], axis=1, kind="stable")
     indices = np.empty((m, k), dtype=np.int64)
     indices[~tied] = np.take_along_axis(cols, order, axis=1)
@@ -174,9 +174,12 @@ def batch_curvature(points: np.ndarray, k: int, metric="euclidean") -> np.ndarra
     kernel.  Plain evaluation of the same primitive the trainer
     differentiates through curvature_scores_graph.
     """
-    points = np.asarray(points, dtype=np.float64)
-    neighbors = knn_metric(points, k, metric)
-    return curvature_scores_graph(Graph().leaf(points), neighbors, neighbors.metric).value[:, 0]
+    return graph_curvature(knn_metric(np.asarray(points, dtype=np.float64), k, metric))
+
+
+def graph_curvature(graph: NeighborGraph) -> np.ndarray:
+    """Curvature score of every row of a kNN's own ``points`` under its metric."""
+    return curvature_scores_graph(Graph().leaf(graph.points), graph, graph.metric).value[:, 0]
 
 
 def curvature_scores_graph(z: Var, neighbors: NeighborGraph, metric="euclidean") -> Var:

@@ -47,7 +47,8 @@ class KernelSpec:
 
 
 def median_heuristic_gamma(points: np.ndarray) -> float:
-    """gamma = 1 / (2 * median(pairwise distance)^2) over the batch.
+    """gamma = 1 / (2 * median(pairwise distance)^2) over the b(b - 1)/2
+    pairs of distinct rows (Garreau et al., arXiv:1707.07269).
 
     Falls back to 1.0 when the points are (numerically) all identical.
     ``knn_rkhs`` takes the same bandwidth, bit for bit, from the centred
@@ -57,13 +58,23 @@ def median_heuristic_gamma(points: np.ndarray) -> float:
 
 
 def _median_gamma(sq: np.ndarray) -> float:
-    """The median-heuristic gamma from a squared-distance matrix; ``sq`` is not changed."""
+    """The median-heuristic gamma from a squared-distance matrix; ``sq`` is not changed.
+
+    sqrt is monotone, so one partition of the strict upper triangle at N // 2
+    finds the middle squared distances, and the median of their roots equals
+    ``np.median`` of all N distances bit for bit.
+    """
     n = sq.shape[0]
     if n < 2:
         return 1.0
-    dist = sq[np.arange(n)[:, None] < np.arange(n)]  # strict upper triangle, a copy
-    np.sqrt(dist, out=dist)
-    med = float(np.median(dist, overwrite_input=True))
+    upper, end = np.empty(n * (n - 1) // 2), 0
+    for i in range(n - 1):  # the strict upper triangle, row by row
+        upper[end:end + n - 1 - i] = sq[i, i + 1:]
+        end += n - 1 - i
+    half = end // 2
+    upper.partition(half)
+    middle = upper[half:half + 1] if end % 2 else np.array([upper[:half].max(), upper[half]])
+    med = float(np.median(np.sqrt(middle)))
     if med <= EDGE_FLOOR:
         return 1.0
     return 1.0 / (2.0 * med * med)
@@ -105,23 +116,27 @@ def rkhs_distance(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
 def knn_rkhs(points: np.ndarray, k: int, spec: KernelSpec) -> NeighborGraph:
     """Brute-force kNN under the RKHS distance; same tie rule as knn_euclidean.
 
-    The linear kernel's kNN is ``knn_euclidean``.  The rbf RKHS distance
-    2 - 2 exp(-gamma D^2) grows with D^2, so the rbf kNN takes the median
-    bandwidth (when ``spec`` leaves it unset) from D^2 of the centred
-    points, selects on that D^2, and only then turns it into the kernel
-    matrix K in place, which the graph keeps with ``points`` and the
-    resolved spec as ``kernel``.
+    The linear kernel's kNN is ``knn_euclidean``.  The rbf kNN selects on
+    D^2 of the centred points and hands the graph to ``rbf_graph``.
     """
     points = np.asarray(points, dtype=np.float64)
-    if spec.kind == "linear":
-        graph = knn_euclidean(points, k)
-    else:
-        sq = sq_distance_matrix(points)
-        if spec.gamma is None:
-            spec = KernelSpec("rbf", _median_gamma(sq))
-        graph = knn_from_sq_distances(sq, k)
+    if spec.kind == "rbf":
+        graph = knn_from_sq_distances(sq_distance_matrix(points), k)
         graph.points = points
-        rbf_kernel_from_sq(sq, spec.gamma)  # the graph's pair matrix, in place
+        return rbf_graph(graph, spec)
+    graph = knn_euclidean(points, k)
+    graph.kernel = spec
+    return graph
+
+
+def rbf_graph(graph: NeighborGraph, spec: KernelSpec) -> NeighborGraph:
+    """A Euclidean kNN turned, in place, into the rbf kNN of the same points:
+    2 - 2 exp(-gamma D^2) grows with D^2, so the neighbors stay.  The median
+    bandwidth, when ``spec`` leaves it unset, comes from the graph's D^2,
+    which then becomes K; the graph's ``kernel`` is the resolved spec."""
+    if spec.gamma is None:
+        spec = KernelSpec("rbf", _median_gamma(graph.pair_matrix))
+    rbf_kernel_from_sq(graph.pair_matrix, spec.gamma)
     graph.kernel = spec
     return graph
 

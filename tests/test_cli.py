@@ -269,6 +269,37 @@ def test_cli_curvature_from_embeddings_csv(tmp_path):
                         for i, (e, c) in enumerate(zip(got, kernel))]
 
 
+@pytest.mark.parametrize("gamma", ["", "rbf_gamma = 0.3\n"], ids=["median", "fixed"])
+def test_cli_curvature_builds_one_distance_matrix_for_both_metrics(tmp_path, monkeypatch, gamma):
+    from curvalign import geometry, numerics, rkhs
+    from curvalign.data import write_csv
+    from curvalign.geometry import batch_curvature
+    from curvalign.rkhs import KernelSpec
+
+    built = []
+    original = numerics.sq_distance_matrix
+
+    def counting(points):
+        built.append(np.shape(points))
+        return original(points)
+
+    for module in (numerics, geometry, rkhs):
+        monkeypatch.setattr(module, "sq_distance_matrix", counting)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST_BLOBS + gamma)
+    assert main(["curvature", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert built == [(96, 8)]
+
+    # the same bytes as scoring each metric on its own kNN
+    cfg = parse_config(cfg_path)
+    train, _ = build_datasets(cfg)
+    euclid = batch_curvature(train.features, cfg.k, "euclidean")
+    kernel = batch_curvature(train.features, cfg.k, KernelSpec("rbf", cfg.rbf_gamma))
+    write_csv(tmp_path / "two_kNNs.csv", ("index", "label", "euclidean", "kernel"),
+              ((i, *row) for i, row in enumerate(zip(train.labels, euclid, kernel))))
+    assert (tmp_path / "curvature.csv").read_bytes() == (tmp_path / "two_kNNs.csv").read_bytes()
+
+
 MISSING_MNIST = "dataset = mnist\n" + "".join(
     f"mnist_{part} = {{tmp}}/missing/{part}\n"
     for part in ("train_images", "train_labels", "test_images", "test_labels")

@@ -10,9 +10,11 @@ from curvalign.geometry import (
     curvature_scores_graph,
     edge_bundle,
     knn_euclidean,
+    knn_from_sq_distances,
     knn_metric,
+    sq_distance_matrix,
 )
-from curvalign.numerics import Graph, finite_diff_check
+from curvalign.numerics import _BLOCK_ELEMENTS, Graph, finite_diff_check
 from curvalign.rkhs import KernelSpec
 
 from oracles import curvature_per_point, knn_full_sort
@@ -32,6 +34,22 @@ def test_knn_tie_breaks_by_index():
     dup = np.array([[0.0], [5.0], [0.0], [0.0]])
     # exact duplicates of row 0 at distance zero, lower index first
     assert knn_euclidean(dup, 2).indices[0].tolist() == [2, 3]
+
+
+def test_tied_and_untied_rows_of_one_block_match_the_full_sort():
+    # grid rows have ties straddling position k (the stable-sort fallback),
+    # loose rows do not (the flat scan); the loose points lie inside the
+    # grid's range, so the midrange and the grid's D^2 stay exact
+    rng = np.random.default_rng(27)
+    grid = np.stack(np.meshgrid(np.arange(9.0), np.arange(7.0)), -1).reshape(-1, 2)
+    points = np.vstack([grid, rng.uniform(2.0, 5.0, size=(20, 2))])
+    k = 3
+    d2 = sq_distance_matrix(points)
+    assert d2.size <= _BLOCK_ELEMENTS  # one selection block
+    ranked = np.sort(d2 + np.diag(np.full(len(points), np.inf)), axis=1)
+    tied = ranked[:, k - 1] == ranked[:, k]
+    assert tied.any() and not tied.all()
+    assert np.array_equal(knn_from_sq_distances(d2, k).indices, knn_full_sort(points, k))
 
 
 def test_knn_k_too_large():

@@ -390,6 +390,36 @@ def test_median_heuristic():
     assert resolve_spec(KernelSpec("linear"), pts).gamma is None
 
 
+def _triu_median_gamma(sq):
+    """The median heuristic over every sqrt'd strict-upper-triangle entry."""
+    n = len(sq)
+    if n < 2:
+        return 1.0
+    med = float(np.median(np.sqrt(sq[np.triu_indices(n, 1)])))
+    return 1.0 if med <= EDGE_FLOOR else 1.0 / (2.0 * med * med)
+
+
+def test_median_gamma_is_bit_identical_to_the_median_of_all_distances():
+    from curvalign.data import make_pattern_images
+
+    rng = np.random.default_rng(26)
+    grid = np.stack(np.meshgrid(np.arange(7.0), np.arange(4.0)), -1).reshape(-1, 2)
+    dup = rng.normal(size=(9, 3))
+    cases = [rng.normal(size=(n, 3)) for n in range(6)]  # pair counts 0, 0, 1, 3, 6, 10
+    cases += [
+        grid,  # integer distances, tied everywhere
+        np.vstack([dup, dup[::2]]),  # exact duplicates
+        np.full((6, 2), -1.5),  # all equal: the EDGE_FLOOR fallback
+        make_pattern_images(3048, 10, 28, seed=31).features[:1024],  # score-eager's rows
+    ]
+    for points in cases:
+        sq = sq_distance_matrix(points)
+        before = sq.copy()
+        assert rkhs._median_gamma(sq) == _triu_median_gamma(sq), len(points)
+        assert np.array_equal(sq, before)
+    assert rkhs._median_gamma(sq_distance_matrix(np.full((6, 2), -1.5))) == 1.0
+
+
 def test_rbf_graph_gradient_through_kernel_scores():
     from curvalign.geometry import curvature_scores_graph
 
