@@ -295,31 +295,42 @@ def _shift_batch(batch: np.ndarray, policy: AugmentationPolicy,
     return shifted.reshape(batch.shape)
 
 
+# elements of one row block of augmentation draws (256 KiB of float64): drawn
+# block after block, a stage's draws come in the order of one (b, d) draw
+_AUGMENT_ELEMENTS = 1 << 15
+
+
 def augment_view(x: np.ndarray, policy: AugmentationPolicy, rng: np.random.Generator) -> np.ndarray:
     """One stochastic view of a (d,) row or of every row of a (b, d) batch:
     pixel shift (zero-fill), coordinate masking, Gaussian noise, then clamp
-    to [0, 1].  Consumes only the given stream, drawing each stage for the
-    whole batch at once; a (d,) row draws exactly as a 1-row batch.  A set
-    ``image_shape`` must hold exactly d pixels (ShapeMismatchError)."""
-    out = np.array(x, dtype=np.float64, ndmin=2)
-    b, d = out.shape
+    to [0, 1].  Consumes only the given stream, each stage drawing for
+    every row in row order (in row blocks, so its temporaries stay small)
+    before the next stage draws; a (d,) row draws exactly as a 1-row batch.
+    A set ``image_shape`` must hold exactly d pixels (ShapeMismatchError)."""
+    batch = np.atleast_2d(np.asarray(x, dtype=np.float64))  # read, never written
+    b, d = batch.shape
     if policy.image_shape is not None:
         rows, cols = policy.image_shape
         if rows * cols != d:
             raise ShapeMismatchError(
                 f"image_shape {policy.image_shape} holds {rows * cols} pixels, rows have {d}"
             )
-        if policy.shift_max > 0:
-            out = _shift_batch(out, policy, rng)
+    if policy.image_shape is not None and policy.shift_max > 0:
+        out = _shift_batch(batch, policy, rng)
+    else:
+        out = batch.copy()
     n_mask = int(policy.mask_fraction * d)
+    step = max(1, _AUGMENT_ELEMENTS // max(d, 1))
+    blocks = [out[i:i + step] for i in range(0, b, step)]
     if n_mask > 0:
-        # each row's n_mask smallest uniforms: a uniform draw without replacement
-        ranks = rng.random((b, d))
-        masked = np.argpartition(ranks, n_mask - 1, axis=1)[:, :n_mask]
-        np.put_along_axis(out, masked, 0.0, axis=1)
-        del ranks, masked
+        for block in blocks:
+            # each row's n_mask smallest uniforms: a uniform draw without replacement
+            ranks = rng.random(block.shape)
+            masked = np.argpartition(ranks, n_mask - 1, axis=1)[:, :n_mask]
+            np.put_along_axis(block, masked, 0.0, axis=1)
     if policy.noise_sigma > 0.0:
-        out += rng.normal(0.0, policy.noise_sigma, size=(b, d))
+        for block in blocks:
+            block += rng.normal(0.0, policy.noise_sigma, size=block.shape)
     np.clip(out, 0.0, 1.0, out=out)
     return out.reshape(np.shape(x))
 

@@ -107,12 +107,13 @@ def project(params: Params, arch: Architecture, h: np.ndarray) -> np.ndarray:
     return _eager_layers(params, arch, h, "proj")
 
 
-def param_leaves(graph: Graph, params: Params) -> dict[str, tuple[Var, Var]]:
-    """Load every named tensor into a graph as a parameter leaf."""
+def param_leaves(graph: Graph, params: Params, check: bool = True) -> dict[str, tuple[Var, Var]]:
+    """Load every named tensor into a graph as a parameter leaf, scanning
+    each for NaN/inf unless ``check`` is off (a step's second lane)."""
     return {
         name: (
-            graph.leaf(w, param=True, name=f"{name}.W"),
-            graph.leaf(b, param=True, name=f"{name}.b"),
+            graph.leaf(w, param=True, name=f"{name}.W", check=check),
+            graph.leaf(b, param=True, name=f"{name}.b", check=check),
         )
         for name, (w, b) in params.items()
     }

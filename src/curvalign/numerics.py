@@ -6,15 +6,21 @@ can be inspected immediately (the trainer relies on this to pick nearest
 neighbors from current embeddings before extending the graph with the
 curvature terms).  ``reverse_grad`` walks the tape backwards once and
 accumulates adjoints in a fixed order, which makes repeated runs
-bit-identical.
+bit-identical.  ``seeded_grad`` runs the same walk from adjoints that
+another graph computed for some of this graph's nodes: a training step
+differentiates its loss on a joint graph whose leaves are each view's
+embedding, then walks each view's MLP graph from that leaf's adjoint, and
+``add_grads`` sums the two views' shares of every parameter's gradient.
 
 Each node records at build time whether it depends on a parameter leaf.
 Only such a node can carry gradient, so only its forward rule keeps saved
 residuals: what its adjoint would otherwise recompute (the curvature pair
 matrix).  Eager evaluation saves nothing.
 
-Finiteness is checked at a graph's boundary: every leaf as it is built,
-the differentiated output and every gradient in ``reverse_grad``.  The
+Finiteness is checked at a graph's boundary: every leaf as it is built
+(but one whose value the caller has scanned or checks elsewhere), the
+differentiated output and every gradient in ``reverse_grad``, or every
+summed gradient in ``add_grads``.  The
 nodes in between are checked as they are built only when they depend on
 no parameter, which covers every node of an eager graph; a caller that
 meets a NonFiniteError replays the tape with ``forward_values``, which
@@ -608,16 +614,25 @@ class Var:
 class Graph:
     """Append-only tape of primitive applications.
 
-    Node order is a topological order by construction; a single Graph must
-    not be mutated from multiple threads.
+    Node order is a topological order by construction.  A graph belongs to
+    one thread: a training step builds one graph per lane (each view's MLP)
+    and one joint graph for the loss, and no graph is shared between
+    threads while it is built or walked.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def leaf(self, value, *, param: bool = False, name: Optional[str] = None) -> Var:
+    def leaf(self, value, *, param: bool = False, name: Optional[str] = None,
+             check: bool = True) -> Var:
+        """Append a leaf.  ``param`` leaves get gradients.  ``check=False``
+        skips the finiteness scan of a value scanned elsewhere in the step
+        (the parameters a second lane loads) or made by an active node of
+        another graph (a lane's embedding on the joint graph), whose own
+        boundary checks it."""
         arr = _as_f64(value)
-        _require_finite(arr, "leaf")
+        if check:
+            _require_finite(arr, "leaf")
         self.nodes.append(Node("leaf", (), {}, arr, param=param, name=name, active=param))
         return Var(self, len(self.nodes) - 1)
 
@@ -671,6 +686,35 @@ def _check_scalar(graph: Graph, output: Var) -> None:
         )
 
 
+def _reverse_walk(graph: Graph, seeds: dict[int, Array]) -> dict[int, Array]:
+    """Adjoints of every parameter leaf, walked back from the adjoints
+    ``seeds`` (node id -> adjoint) in node order; a leaf nothing reaches
+    gets zeros.  Unchecked."""
+    nodes = graph.nodes
+    adjoints = {i: g for i, g in seeds.items() if nodes[i].active}
+    for i in range(max(seeds, default=-1), -1, -1):
+        node = nodes[i]
+        if node.op == "leaf":
+            continue
+        g = adjoints.pop(i, None)  # an interior adjoint is dead once used
+        if g is None:
+            continue
+        ins = [nodes[j].value for j in node.inputs]
+        aux = node.aux if node.saved is None else {**node.aux, "saved": node.saved}
+        for j, rule in zip(node.inputs, _BACKWARD[node.op]):
+            if nodes[j].active:
+                contrib = rule(ins, node.value, g, aux)
+                adjoints[j] = adjoints[j] + contrib if j in adjoints else contrib
+    return {i: adjoints[i] if i in adjoints else np.zeros_like(nodes[i].value)
+            for i in graph.param_leaves()}
+
+
+def _checked(grads: dict[int, Array]) -> dict[int, Array]:
+    for i, grad in grads.items():
+        _require_finite(grad, f"gradient of leaf {i}")
+    return grads
+
+
 def reverse_grad(graph: Graph, output: Var) -> dict[int, Array]:
     """Gradient of a scalar output with respect to every parameter leaf.
 
@@ -689,32 +733,28 @@ def reverse_grad(graph: Graph, output: Var) -> dict[int, Array]:
     non-finite output.
     """
     _check_scalar(graph, output)
-    nodes = graph.nodes
-    _require_finite(nodes[output.idx].value, f"output node {output.idx}")
-    adjoints: dict[int, Array] = {}
-    if nodes[output.idx].active:
-        adjoints[output.idx] = np.ones_like(nodes[output.idx].value)
-    for i in range(output.idx, -1, -1):
-        node = nodes[i]
-        if node.op == "leaf":
-            continue
-        g = adjoints.pop(i, None)  # an interior adjoint is dead once used
-        if g is None:
-            continue
-        ins = [nodes[j].value for j in node.inputs]
-        aux = node.aux if node.saved is None else {**node.aux, "saved": node.saved}
-        for j, rule in zip(node.inputs, _BACKWARD[node.op]):
-            if nodes[j].active:
-                contrib = rule(ins, node.value, g, aux)
-                adjoints[j] = adjoints[j] + contrib if j in adjoints else contrib
-    result: dict[int, Array] = {}
-    for i in graph.param_leaves():
-        grad = adjoints.get(i)
-        if grad is None:
-            grad = np.zeros_like(nodes[i].value)
-        _require_finite(grad, f"gradient of leaf {i}")
-        result[i] = grad
-    return result
+    value = graph.nodes[output.idx].value
+    _require_finite(value, f"output node {output.idx}")
+    return _checked(_reverse_walk(graph, {output.idx: np.ones_like(value)}))
+
+
+def seeded_grad(graph: Graph, seeds: dict[int, Array]) -> dict[int, Array]:
+    """The parameter leaves' gradients, by ``reverse_grad``'s walk, from the
+    adjoints ``seeds`` (node id -> adjoint of that node's value): a lane's
+    share of a gradient whose scalar lives on another graph that took the
+    seeded nodes' values as leaves.  Nothing is checked here; the caller
+    adds the lanes' shares with ``add_grads``."""
+    for i, g in seeds.items():
+        if g.shape != graph.nodes[i].value.shape:
+            raise ShapeMismatchError(f"seed for node {i}: {g.shape} vs {graph.nodes[i].value.shape}")
+    return _reverse_walk(graph, seeds)
+
+
+def add_grads(first: dict[int, Array], second: dict[int, Array]) -> dict[int, Array]:
+    """Two lanes' ``seeded_grad`` shares summed per leaf id, every sum
+    checked for finiteness as ``reverse_grad`` checks its gradients.  Both
+    shares are emptied as they are added, so no third copy builds up."""
+    return _checked({i: first.pop(i) + second.pop(i) for i in list(first)})
 
 
 @dataclass

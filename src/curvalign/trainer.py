@@ -2,17 +2,26 @@
 
 The loop is deliberately functional: every step maps (params, state) to new
 values, so identical configs replay bit-identically and nothing the probe
-does can touch encoder weights.  While one step runs, a worker thread
-builds the next batch's two views; the loop joins it before ``on_step``,
-and since every draw is keyed by (epoch, batch, view) the overlap cannot
-change a bit.
+does can touch encoder weights.
+
+A step runs on two lanes.  Each view's encoder/projector MLP is built on
+its own graph, view 0's on the main thread and view 1's on one worker
+thread (for an MLP too small to gain from it, on the main thread too); a
+joint graph takes the two embeddings as leaves and holds the whole
+objective.  Its ``reverse_grad`` gives the embeddings' adjoints, from
+which each lane runs its MLP backward, and each parameter's gradient is
+the sum of its two per-view shares: the single graph's
+gradient bit for bit, since IEEE addition of two terms commutes.  Between
+its lane tasks the worker builds the next batch's two views.  The loop
+joins every task before ``on_step``, and since every draw is keyed by
+(epoch, batch, view) the overlap cannot change a bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,7 +39,7 @@ from .model import (
     init_params,
     param_leaves,
 )
-from .numerics import Graph, reverse_grad
+from .numerics import Graph, Var, add_grads, reverse_grad, seeded_grad
 from .rkhs import KernelSpec
 
 BETA1 = 0.9
@@ -161,21 +170,6 @@ class History:
         write_csv(path, self.CSV_HEADER.split(","), rows)
 
 
-def _two_views(
-    dataset: Dataset,
-    policy: AugmentationPolicy,
-    seed: int,
-    epoch: int,
-    batch_idx: int,
-    idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    rows = dataset.features[idx]
-    return tuple(
-        augment_view(rows, policy, stream(seed, "augment", epoch, batch_idx, view))
-        for view in (0, 1)
-    )
-
-
 def _first_views(
     pool: ThreadPoolExecutor,
     dataset: Dataset,
@@ -193,16 +187,98 @@ def _first_views(
     return augment_view(rows, policy, rng0), view1.result()
 
 
-def _first_non_finite(graph: Graph, err: NonFiniteError) -> NonFiniteError:
-    """The replay's error when re-evaluating the step's tape meets a NaN or
-    inf: a training graph checks its leaves, loss and gradients only, and
-    ``forward_values`` checks every op, so it names the primitive that made
-    the value ``err`` met later.  ``err`` itself when every op is finite."""
+def _first_non_finite(lanes: tuple[Graph, Graph], joint: Optional[Graph],
+                      err: NonFiniteError) -> NonFiniteError:
+    """The replay's error when re-evaluating the step's tapes, in build
+    order, meets a NaN or inf: a training graph checks its leaves, loss and
+    gradients only, and ``forward_values`` checks every op, so it names the
+    primitive that made the value ``err`` met later.  The joint graph is
+    replayed on the lanes' replayed embeddings (each lane's last node is
+    the joint's leaf 0 or 1), so the whole step is re-evaluated from its
+    parameters and views.  ``err`` itself when every op is finite."""
     try:
-        graph.forward_values()
+        replays = [lane.forward_values() for lane in lanes]
+        if joint is not None:
+            joint.forward_values({view: values[-1] for view, values in enumerate(replays)})
     except NonFiniteError as replayed:
         return replayed
     return err
+
+
+# multiply-adds of one view's MLP forward (batch rows x weights) from which
+# view 1's lane runs on the worker thread.  A smaller MLP's numpy calls are
+# too short to leave the GIL for long, so there a second thread only adds
+# hand-offs: lowdim-rbf's 3.1M ran 5% faster on the calling thread,
+# desk-euclid's 65M 10% faster on the worker
+_LANE_MACS = 1 << 24
+
+
+def _run_here(fn: Callable, *args) -> Future:
+    """``fn(*args)`` run on this thread, as a finished Future."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as err:
+        future.set_exception(err)
+    return future
+
+
+def _lane_forward(graph: Graph, leaves: dict[str, tuple[Var, Var]], arch: Architecture,
+                  x: np.ndarray) -> Var:
+    """One view's MLP on its lane's graph, which holds the parameter leaves: z."""
+    return forward_graph(leaves, arch, graph.leaf(x))[1]
+
+
+def _lane_step(
+    run_lane: Callable[..., Future],
+    params: Params,
+    config: TrainConfig,
+    views: tuple[np.ndarray, np.ndarray],
+    prefetch: Callable[[int], None],
+    where: str,
+) -> tuple[LossBreakdown, Params]:
+    """One step's loss breakdown and parameter gradients over two lanes.
+
+    ``run_lane(fn, *args)`` runs view 1's lane, the worker's ``submit`` or
+    ``_run_here``: its forward, then, once the joint graph's
+    ``reverse_grad`` has given z' its adjoint, its backward.
+    ``prefetch(view)`` is called after each lane task is queued, so the
+    worker builds the next batch's view 0 while this thread runs the loss
+    and view 1 while it runs view 0's backward.  A NonFiniteError is
+    raised prefixed with ``where``, after the lane tasks have finished and
+    the step's graphs have been replayed in build order.
+    """
+    arch = config.architecture
+    lanes, joint, tasks = (Graph(), Graph()), None, []
+    try:
+        leaves = param_leaves(lanes[0], params)  # the step's one scan of the parameters
+        tasks.append(run_lane(_lane_forward, lanes[1],
+                              param_leaves(lanes[1], params, check=False), arch, views[1]))
+        prefetch(0)
+        z0 = _lane_forward(lanes[0], leaves, arch, views[0])
+        z1 = tasks[0].result()
+        joint = Graph()
+        z, zp = (joint.leaf(v.value, param=True, name=name, check=False)
+                 for v, name in ((z0, "z"), (z1, "z'")))
+        breakdown, total = total_loss(
+            z,
+            zp,
+            config.k,
+            metric=config.metric_spec(),
+            weights=config.weights,
+            eps=config.eps,
+            include_curvature=config.track_curvature,
+        )
+        adjoints = reverse_grad(joint, total)
+        tasks.append(run_lane(seeded_grad, lanes[1], {z1.idx: adjoints[zp.idx]}))
+        prefetch(1)
+        share = seeded_grad(lanes[0], {z0.idx: adjoints[z.idx]})
+        # both lanes loaded the parameters first, in one order: the same leaf ids
+        by_id = add_grads(share, tasks[1].result())
+    except NonFiniteError as err:
+        wait(tasks)
+        raise NonFiniteError(f"{where}: {_first_non_finite(lanes, joint, err)}") from err
+    return breakdown, {name: (by_id[w.idx], by_id[b.idx]) for name, (w, b) in leaves.items()}
 
 
 def pretrain(
@@ -212,16 +288,17 @@ def pretrain(
 ) -> tuple[Checkpoint, History]:
     """Full two-view pretraining loop.
 
-    Per batch: draw two augmented views, push both through the shared
-    encoder/projector on one graph, assemble the objective, backpropagate,
-    take an Adam step.  Neighbor search runs on the current embeddings of
-    each step (never cached across steps).  The next batch's views, across
-    epoch boundaries too, are built on a worker thread while the step runs;
-    the loop waits for them before ``on_step``, so no background work
-    outlives a step, and an augmentation error is raised there with its
-    own class.  A NonFiniteError in a step is raised with the prefix
-    "epoch E, batch B:", naming the first primitive of the step's tape that
-    made a NaN or inf when there is one.
+    Per batch: draw two augmented views, push each through the shared
+    encoder/projector on its own lane (``_lane_step``), assemble the
+    objective on the joint graph, backpropagate, take an Adam step.
+    Neighbor search runs on the current embeddings of each step (never
+    cached across steps).  The next batch's views, across epoch boundaries
+    too, are built on the worker thread while the step runs; the loop
+    waits for them before ``on_step``, so no background work outlives a
+    step, and an error in a worker task is raised there with its own class.
+    A NonFiniteError in a step is raised with the prefix "epoch E, batch
+    B:", naming the first primitive of the step's tapes that made a NaN or
+    inf when there is one.
     """
     arch = config.architecture
     if dataset.dim != arch.input_dim:
@@ -231,7 +308,6 @@ def pretrain(
     params = init_params(arch, config.seed)
     state = init_adam_state(params)
     plan = BatchPlan(seed=config.seed, batch_size=config.batch_size, min_batch=config.k + 2)
-    metric = config.metric_spec()
     policy = config.augmentation
     history = History()
     schedule = [
@@ -243,43 +319,29 @@ def pretrain(
     started = time.perf_counter()
     sums = np.zeros(5)
     count = 0
+    macs = config.batch_size * sum(fan_in * fan_out for _, fan_in, fan_out, _ in arch.layers())
     with ThreadPoolExecutor(max_workers=1) as pool:
-        x1, x2 = _first_views(pool, dataset, policy, config.seed, *schedule[0])
+        run_lane = pool.submit if macs >= _LANE_MACS else _run_here
+        views = _first_views(pool, dataset, policy, config.seed, *schedule[0])
         for (epoch, batch_idx, _), ahead in zip(schedule, schedule[1:] + [None]):
-            if ahead is not None:
-                next_views = pool.submit(_two_views, dataset, policy, config.seed, *ahead)
-            graph = Graph()
-            try:
-                leaves = param_leaves(graph, params)
-                z1 = forward_graph(leaves, arch, graph.leaf(x1))[1]
-                z2 = forward_graph(leaves, arch, graph.leaf(x2))[1]
-                breakdown, total = total_loss(
-                    z1,
-                    z2,
-                    config.k,
-                    metric=metric,
-                    weights=config.weights,
-                    eps=config.eps,
-                    include_curvature=config.track_curvature,
-                )
-                by_id = reverse_grad(graph, total)
-            except NonFiniteError as err:
-                raise NonFiniteError(
-                    f"epoch {epoch}, batch {batch_idx}: {_first_non_finite(graph, err)}"
-                ) from err
-            grads = {
-                name: (by_id[wv.idx], by_id[bv.idx]) for name, (wv, bv) in leaves.items()
-            }
-            # Adam is the step's memory peak: release the tape and views first
-            del graph, leaves, by_id, z1, z2, total, x1, x2
+            upcoming: list[Future] = []
+            rows = None if ahead is None else dataset.features[ahead[2]]
+
+            def prefetch(view: int) -> None:
+                if ahead is not None:
+                    rng = stream(config.seed, "augment", *ahead[:2], view)
+                    upcoming.append(pool.submit(augment_view, rows, policy, rng))
+
+            breakdown, grads = _lane_step(run_lane, params, config, views, prefetch,
+                                          f"epoch {epoch}, batch {batch_idx}")
+            del views  # Adam is the step's memory peak
             params, state = adam_step(
                 params, grads, state, config.learning_rate, config.weight_decay
             )
             del grads
             sums += np.asarray(breakdown.as_tuple())
             count += 1
-            if ahead is not None:
-                x1, x2 = next_views.result()
+            views = tuple(view.result() for view in upcoming)
             if on_step is not None:
                 on_step(epoch, batch_idx, breakdown)
             if ahead is None or ahead[0] != epoch:

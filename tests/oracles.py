@@ -148,3 +148,32 @@ def reference_total_loss(z, zp, k, kind, gamma, lam_emb, lam_curv, alpha, eps):
 
     total = emb_diag + lam_emb * emb_off + alpha * (curv_diag + lam_curv * curv_off)
     return total, emb_diag, emb_off, curv_diag, curv_off
+
+
+def augment_whole_batch(x, noise_sigma, mask_fraction, shift_max, image_shape, rng):
+    """One augmented view with each stage's draws made for the whole (b, d)
+    batch at once, in the package's stream order: every row's (dy, dx)
+    shift, then one uniform per coordinate whose n_mask smallest per row
+    are zeroed, then one Gaussian per coordinate; then a clamp to [0, 1]."""
+    out = np.array(x, dtype=float, ndmin=2)
+    b, d = out.shape
+    if image_shape is not None and shift_max > 0:
+        rows, cols = image_shape
+        shifts = rng.integers(-shift_max, shift_max + 1, size=(b, 2))
+        shifted = np.zeros_like(out)
+        for i in range(b):
+            dy, dx = (int(v) for v in shifts[i])
+            for y in range(rows):
+                for c in range(cols):
+                    if 0 <= y - dy < rows and 0 <= c - dx < cols:
+                        shifted[i, y * cols + c] = out[i, (y - dy) * cols + c - dx]
+        out = shifted
+    n_mask = int(mask_fraction * d)
+    if n_mask > 0:
+        ranks = rng.random((b, d))
+        for i in range(b):
+            for j in sorted(range(d), key=lambda j: ranks[i, j])[:n_mask]:
+                out[i, j] = 0.0
+    if noise_sigma > 0.0:
+        out += rng.normal(0.0, noise_sigma, size=(b, d))
+    return np.clip(out, 0.0, 1.0).reshape(np.shape(x))

@@ -27,6 +27,7 @@ from curvalign.errors import (
     ShapeMismatchError,
     TruncatedFileError,
 )
+from oracles import augment_whole_batch
 
 
 def _write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, image_magic=2051, label_magic=2049):
@@ -257,6 +258,19 @@ def test_augment_one_row_batch_equals_row_call():
     batch = augment_view(x[None, :], policy, stream(8, "aug", 1))
     assert row.shape == (64,) and batch.shape == (1, 64)
     assert np.array_equal(batch[0], row)
+
+
+@pytest.mark.parametrize("b,d,policy", [
+    (100, 784, AugmentationPolicy(0.1, 0.1, 2, image_shape=(28, 28))),  # 41-row blocks
+    (250, 300, AugmentationPolicy(0.05, 0.2, 0)),                        # 109-row blocks
+    (7, 64, AugmentationPolicy(0.1, 0.1, 1, image_shape=(8, 8))),        # one block
+])
+def test_augment_draws_in_row_blocks_as_the_whole_batch_form(b, d, policy):
+    x = np.random.default_rng(b).uniform(0, 1, size=(b, d))
+    got = augment_view(x, policy, stream(9, "aug", b))
+    want = augment_whole_batch(x, policy.noise_sigma, policy.mask_fraction, policy.shift_max,
+                               policy.image_shape, stream(9, "aug", b))
+    assert np.array_equal(got, want)
 
 
 def test_pretrain_step_builds_one_augment_stream_per_view(monkeypatch):

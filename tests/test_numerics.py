@@ -12,9 +12,11 @@ from curvalign import numerics
 from curvalign.numerics import (
     PRIMITIVES,
     Graph,
+    add_grads,
     eval_primitive,
     finite_diff_check,
     reverse_grad,
+    seeded_grad,
 )
 from curvalign.rkhs import KernelSpec
 
@@ -114,6 +116,43 @@ def test_reverse_grad_linearity():
     combined = build(("square", "exp"))
     separate = build(("square",)) + build(("exp",))
     assert np.max(np.abs(combined - separate)) <= 1e-12
+
+
+def test_seeded_walks_of_two_lanes_add_up_to_the_one_graph_gradient():
+    # loss = sum((relu(x0 W) - relu(x1 W))^2): one graph, or a lane per
+    # input whose outputs are the joint graph's parameter leaves
+    rng = np.random.default_rng(4)
+    w, xs = rng.normal(size=(3, 2)), [rng.normal(size=(5, 3)) for _ in range(2)]
+
+    def loss(ys):
+        return (ys[0] - ys[1]).square().sum()
+
+    g = Graph()
+    wv = g.leaf(w, param=True)
+    want = reverse_grad(g, loss([(g.leaf(x) @ wv).relu() for x in xs]))[wv.idx]
+
+    lanes = [Graph() for _ in xs]
+    ws = [lane.leaf(w, param=True) for lane in lanes]
+    ys = [(lane.leaf(x) @ lw).relu() for lane, lw, x in zip(lanes, ws, xs)]
+    joint = Graph()
+    yl = [joint.leaf(y.value, param=True, check=False) for y in ys]
+    adjoints = reverse_grad(joint, loss(yl))
+    shares = [seeded_grad(lane, {y.idx: adjoints[leaf.idx]}) for lane, y, leaf in zip(lanes, ys, yl)]
+    assert list(shares[0]) == [ws[0].idx]
+    got = add_grads(*shares)
+    assert np.array_equal(got[ws[0].idx], want)
+    assert shares == [{}, {}]  # both shares were handed over
+
+    with pytest.raises(ShapeMismatchError):
+        seeded_grad(lanes[0], {ys[0].idx: np.ones((2, 5))})
+
+
+def test_add_grads_checks_every_sum():
+    big = np.array([1e308])
+    assert add_grads({3: np.array([1.0])}, {3: np.array([2.0])})[3][0] == 3.0
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match="^non-finite value produced by gradient of leaf 3$"):
+        add_grads({3: big}, {3: big})  # finite shares whose sum overflows
 
 
 def test_rerun_is_bit_identical():

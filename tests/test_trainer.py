@@ -1,20 +1,35 @@
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from curvalign import trainer
-from curvalign.data import AugmentationPolicy, Dataset, make_blobs, make_pattern_images
+from curvalign.data import (
+    AugmentationPolicy,
+    Dataset,
+    augment_view,
+    make_blobs,
+    make_pattern_images,
+    stream,
+)
 from curvalign.errors import (
     EmptyDatasetError,
     InvariantViolationError,
     NonFiniteError,
     ShapeMismatchError,
 )
-from curvalign.losses import LossBreakdown, Weights
-from curvalign.model import Architecture, Checkpoint, init_params, save_checkpoint
+from curvalign.losses import LossBreakdown, Weights, total_loss
+from curvalign.model import (
+    Architecture,
+    Checkpoint,
+    forward_graph,
+    init_params,
+    param_leaves,
+    save_checkpoint,
+)
+from curvalign.numerics import Graph, reverse_grad
 from curvalign.trainer import (
     AdamState,
     TrainConfig,
@@ -211,26 +226,90 @@ def test_constant_embedding_column_at_zero_eps_names_standardize(monkeypatch):
         pretrain(_small_config(epochs=1, eps=0.0), ds)
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "rbf"])
-def test_desk_step_tape_has_63_nodes(monkeypatch, metric):
-    # 8 params, 2 views, 3 loss constants; 4 affine + 3 relu per view; the
-    # rest is the loss: a tape regression fails here, not only when traced
+def _record_tapes(monkeypatch):
+    """Record each step's tapes as trainer walks them: ("lane", ops) for a
+    lane's ``seeded_grad`` and ("joint", ops) for ``reverse_grad``, in the
+    order the walks start."""
     tapes = []
-    reverse_grad = trainer.reverse_grad
+    reverse_grad, seeded_grad = trainer.reverse_grad, trainer.seeded_grad
 
     def recording(graph, output):
-        tapes.append([node.op for node in graph.nodes])
+        tapes.append(("joint", [node.op for node in graph.nodes]))
         return reverse_grad(graph, output)
 
+    def recording_lane(graph, seeds):
+        tapes.append(("lane", [node.op for node in graph.nodes]))
+        return seeded_grad(graph, seeds)
+
     monkeypatch.setattr(trainer, "reverse_grad", recording)
+    monkeypatch.setattr(trainer, "seeded_grad", recording_lane)
+    return tapes
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "rbf"])
+def test_desk_step_tape_has_63_nodes(monkeypatch, metric):
+    # the single tape's 63 nodes, split: each lane holds the 8 params, its
+    # view and 4 affine + 3 relu; the joint tape holds z, z', 3 loss
+    # constants and the loss: a tape regression fails here, not only when traced
+    tapes = _record_tapes(monkeypatch)
     desk = Architecture(784, (256, 128), (128, 32))
     config = _small_config(architecture=desk, epochs=1, batch_size=16, k=3, metric=metric)
     pretrain(config, make_blobs(16, 2, 784, 0.1, seed=1))
-    assert len(tapes) == 1
-    ops = tapes[0]
-    assert len(ops) == 63
-    assert (ops.count("affine"), ops.count("standardize"), ops.count("curvature")) == (8, 4, 2)
-    assert not {"broadcast_row", "mean_rows", "std_rows"} & set(ops)
+    assert [kind for kind, _ in tapes] == ["joint", "lane", "lane"]
+    joint, lanes = tapes[0][1], [ops for _, ops in tapes[1:]]
+    for ops in lanes:
+        assert ops == ["leaf"] * 9 + ["affine", "relu"] * 3 + ["affine"]
+    assert len(joint) == 41 and joint[:2] == ["leaf", "leaf"]
+    assert len(joint) + sum(map(len, lanes)) - 8 - 2 == 63
+    assert (joint.count("standardize"), joint.count("curvature"), joint.count("leaf")) == (4, 2, 5)
+    assert not {"broadcast_row", "mean_rows", "std_rows", "affine", "relu"} & set(joint)
+
+
+def _single_graph_step(params, config, views):
+    """The step on one tape: both views' MLPs and the loss on one graph and
+    one ``reverse_grad``, the composition the lanes split; their reference."""
+    graph = Graph()
+    leaves = param_leaves(graph, params)
+    z, zp = (forward_graph(leaves, config.architecture, graph.leaf(x))[1] for x in views)
+    breakdown, total = total_loss(z, zp, config.k, metric=config.metric_spec(),
+                                  weights=config.weights, eps=config.eps,
+                                  include_curvature=config.track_curvature)
+    by_id = reverse_grad(graph, total)
+    return breakdown, {name: (by_id[w.idx], by_id[b.idx]) for name, (w, b) in leaves.items()}
+
+
+def _lane_cases():
+    images = make_pattern_images(128, 10, 28, seed=19)
+    desk = TrainConfig(
+        architecture=Architecture(784, (256, 128), (128, 32)), batch_size=128, k=10, seed=19,
+        augmentation=AugmentationPolicy(0.1, 0.1, 2, image_shape=(28, 28)),
+    )
+    blobs = make_blobs(256, 8, 32, 0.08, seed=20)
+    rbf = TrainConfig(
+        architecture=Architecture(32, (64, 64), (64, 32)), batch_size=256, k=20, seed=20,
+        metric="rbf", augmentation=AugmentationPolicy(0.05, 0.1, 0),
+    )
+    return [(desk, images), (rbf, blobs)]
+
+
+@pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "here"])
+@pytest.mark.parametrize("case", [0, 1], ids=["desk-euclidean", "lowdim-rbf"])
+def test_lane_gradients_equal_the_single_graph_gradients(case, on_worker):
+    config, dataset = _lane_cases()[case]
+    views = tuple(augment_view(dataset.features, config.augmentation,
+                               stream(config.seed, "augment", 0, 0, view)) for view in (0, 1))
+    params = init_params(config.architecture, config.seed)
+    want_breakdown, want = _single_graph_step(params, config, views)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        run_lane = pool.submit if on_worker else trainer._run_here
+        breakdown, grads = trainer._lane_step(run_lane, params, config, views,
+                                              lambda view: None, "epoch 0, batch 0")
+    assert breakdown.as_tuple() == want_breakdown.as_tuple()
+    assert list(grads) == list(want)
+    for name in want:
+        assert np.any(want[name][0] != 0.0)
+        for got, ref in zip(grads[name], want[name]):
+            assert np.array_equal(got, ref)
 
 
 def test_probe_constant_encoder_hits_majority_rate():
@@ -361,33 +440,36 @@ class _InjectedError(Exception):
     pass
 
 
-def _logged_augment(monkeypatch, events, fail_on_call=None):
-    """Wrap trainer.augment_view to log (kind, call, thread) events.  A call
-    off the main thread first sleeps for longer than a step takes, so a
-    view still being built at ``on_step`` would show in the log."""
-    real = trainer.augment_view
+def _logged_calls(monkeypatch, events, fail_on_call=None, attr="augment_view"):
+    """Wrap trainer.<attr> (``augment_view`` by default) to log (kind,
+    (attr, call), thread) events, counting calls per attr.  A call off the
+    main thread first sleeps for longer than a step takes, so a task still
+    running at ``on_step`` would show in the log."""
+    real = getattr(trainer, attr)
     calls = []
     main = threading.get_ident()
 
-    def logged(x, policy, rng):
+    def logged(*args):
         call = len(calls)
         calls.append(call)
-        events.append(("start", call, threading.get_ident()))
+        events.append(("start", (attr, call), threading.get_ident()))
         try:
             if threading.get_ident() != main:
                 time.sleep(0.02)
             if call == fail_on_call:
                 raise _InjectedError(f"call {call}")
-            return real(x, policy, rng)
+            return real(*args)
         finally:
-            events.append(("end", call, threading.get_ident()))
+            events.append(("end", (attr, call), threading.get_ident()))
 
-    monkeypatch.setattr(trainer, "augment_view", logged)
+    monkeypatch.setattr(trainer, attr, logged)
 
 
 def test_prefetch_is_joined_before_every_on_step(monkeypatch):
+    monkeypatch.setattr(trainer, "_LANE_MACS", 0)  # view 1's lane on the worker
     events = []
-    _logged_augment(monkeypatch, events)
+    for attr in ("augment_view", "_lane_forward", "seeded_grad"):
+        _logged_calls(monkeypatch, events, attr=attr)
     ds = make_blobs(128, 4, 16, 0.05, seed=13)
     before = threading.active_count()
     pretrain(_small_config(epochs=2, seed=13, batch_size=32), ds,
@@ -398,17 +480,37 @@ def test_prefetch_is_joined_before_every_on_step(monkeypatch):
     assert [events[i][1] for i in steps] == [(e, b) for e in (0, 1) for b in range(4)]
     starts = {ev[1]: i for i, ev in enumerate(events) if ev[0] == "start"}
     ends = {ev[1]: i for i, ev in enumerate(events) if ev[0] == "end"}
-    assert sorted(starts) == sorted(ends) == list(range(16))
+    assert sorted(starts) == sorted(ends)
+    for attr, calls in (("augment_view", 16), ("_lane_forward", 16), ("seeded_grad", 16)):
+        assert sorted(call for a, call in starts if a == attr) == list(range(calls))
     for at in steps:
         assert all(ends[call] < at for call, started in starts.items() if started < at)
     main = threading.get_ident()
     on_main = [ev[1] for ev in events if ev[0] == "start" and ev[2] == main]
-    assert len(on_main) == 1 and starts[on_main[0]] < steps[0]  # view 0 of the first batch
+    augments = [call for call in on_main if call[0] == "augment_view"]
+    assert len(augments) == 1 and starts[augments[0]] < steps[0]  # view 0 of the first batch
+    assert len(on_main) == 1 + 2 * 8  # and view 0's lane, forward and backward, per step
+    # the worker's queue per step: view 1's forward, the next batch's view
+    # 0, view 1's backward, the next batch's view 1
+    lane = ["_lane_forward", "augment_view", "seeded_grad", "augment_view"]
+    on_worker = [ev[1][0] for ev in events if ev[0] == "start" and ev[2] != main]
+    assert on_worker == ["augment_view"] + lane * 7 + lane[::2]
+
+
+def test_a_small_mlp_runs_both_lanes_on_the_calling_thread(monkeypatch):
+    events = []
+    for attr in ("augment_view", "_lane_forward", "seeded_grad"):
+        _logged_calls(monkeypatch, events, attr=attr)
+    pretrain(_small_config(epochs=2, seed=13, batch_size=32), make_blobs(128, 4, 16, 0.05, seed=13))
+    main = threading.get_ident()
+    on_worker = [ev[1][0] for ev in events if ev[0] == "start" and ev[2] != main]
+    assert on_worker == ["augment_view"] * 15  # view 1 of the first batch, then each next batch's
+    assert 32 * sum(i * o for _, i, o, _ in SMALL_ARCH.layers()) < trainer._LANE_MACS
 
 
 def test_augmentation_error_surfaces_with_its_class_and_no_thread_survives(monkeypatch):
     events = []
-    _logged_augment(monkeypatch, events, fail_on_call=3)  # batch 1, built while step 0 runs
+    _logged_calls(monkeypatch, events, fail_on_call=3)  # batch 1, built while step 0 runs
     ds = make_blobs(128, 4, 16, 0.05, seed=14)
     before = threading.active_count()
     with pytest.raises(_InjectedError):
@@ -428,6 +530,23 @@ def test_interrupt_from_on_step_propagates_and_no_thread_survives():
     with pytest.raises(KeyboardInterrupt) as info:
         pretrain(_small_config(seed=15, batch_size=32), ds, on_step=on_step)
     assert info.value is interrupt
+    assert threading.active_count() == before
+
+
+def test_lane_error_surfaces_with_its_step_and_no_thread_survives(monkeypatch):
+    # a relu of step 1 on the worker's lane makes z' row 0 NaN; the joint
+    # kNN's row check meets it, and the replay, run here, finds every op finite
+    monkeypatch.setattr(trainer, "_LANE_MACS", 0)  # view 1's lane on the worker
+    main, steps = threading.get_ident(), []
+    calls = _poisoned(monkeypatch, "relu", np.nan,
+                      when=lambda: len(steps) == 1 and threading.get_ident() != main)
+    ds = make_blobs(128, 4, 16, 0.05, seed=18)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteError) as info:
+        pretrain(_small_config(epochs=1, seed=18, batch_size=32), ds,
+                 on_step=lambda *a: steps.append(a))
+    assert str(info.value) == "epoch 0, batch 1: point row 0 has a non-finite squared norm"
+    assert len(steps) == 1 and len(calls) == (2 + 1) * 2 * 3  # 2 steps and the replay, 2 lanes, 3 relus
     assert threading.active_count() == before
 
 
@@ -510,7 +629,8 @@ def test_clean_step_checks_only_the_graph_boundary(monkeypatch):
     from curvalign import numerics
 
     contexts, tapes = [], []
-    require, reverse_grad = numerics._require_finite, trainer.reverse_grad
+    require = numerics._require_finite
+    reverse_grad, seeded_grad = trainer.reverse_grad, trainer.seeded_grad
 
     def recording(arr, context):
         contexts.append(context)
@@ -520,14 +640,25 @@ def test_clean_step_checks_only_the_graph_boundary(monkeypatch):
         tapes.append((graph.nodes, output.idx))
         return reverse_grad(graph, output)
 
+    def recording_lane(graph, seeds):
+        tapes.append((graph.nodes, None))
+        return seeded_grad(graph, seeds)
+
     monkeypatch.setattr(numerics, "_require_finite", recording)
     monkeypatch.setattr(trainer, "reverse_grad", recording_grad)
+    monkeypatch.setattr(trainer, "seeded_grad", recording_lane)
     config = _small_config(epochs=1, metric="rbf")
     pretrain(config, make_blobs(64, 4, 16, 0.05, seed=6))
-    (nodes, out), = tapes
-    leaves = [i for i, n in enumerate(nodes) if n.op == "leaf"]
-    params = [i for i in leaves if nodes[i].param]
-    ops = [n for n in nodes if n.op != "leaf"]
-    assert len(ops) == 50 and all(n.active for n in ops)  # nothing else is scanned
-    assert contexts == (["leaf"] * len(leaves) + [f"output node {out}"]
+    (joint, out), (lane_a, _), (lane_b, _) = tapes  # the lanes' walks start in either order
+    for nodes, n_ops in ((joint, 36), (lane_a, 7), (lane_b, 7)):
+        ops = [n for n in nodes if n.op != "leaf"]
+        assert len(ops) == n_ops and all(n.active for n in ops)  # nothing else is scanned
+    params = [i for i, n in enumerate(lane_a) if n.op == "leaf" and n.param]
+    assert params == [i for i, n in enumerate(lane_b) if n.op == "leaf" and n.param] == list(range(8))
+    assert [i for i, n in enumerate(joint) if n.param] == [0, 1]  # z and z', not scanned
+    # every parameter is scanned once for the step, each view once; the
+    # joint graph scans its 3 constants, its output and the adjoints of z
+    # and z'; each parameter's summed gradient is scanned once
+    assert contexts == (["leaf"] * (8 + 2 + 3) + [f"output node {out}"]
+                        + ["gradient of leaf 0", "gradient of leaf 1"]
                         + [f"gradient of leaf {i}" for i in params])
