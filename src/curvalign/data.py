@@ -24,6 +24,7 @@ from .errors import (
     InvalidCountsError,
     InvariantViolationError,
     IoFailureError,
+    NonFiniteError,
     ShapeMismatchError,
     TruncatedFileError,
 )
@@ -112,7 +113,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise TruncatedFileError(f"{labels_path}: payload shorter than header promises")
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=count * rows * cols, offset=16)
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=count, offset=8).astype(np.int64)
     return Dataset(
         features,
@@ -125,16 +127,34 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 def save_idx(features01: np.ndarray, labels: np.ndarray, rows: int, cols: int,
              images_path, labels_path) -> None:
-    """Write features in [0, 1] and labels as an IDX image/label pair."""
+    """Write features in [0, 1] and labels as an IDX image/label pair.
+
+    Pixels are ``round(255 * f)`` clipped to [0, 255].  Before any byte is
+    written it checks what the format cannot hold: one label per row
+    (CountMismatchError), integer labels in [0, 255], the range of the
+    format's one-byte label (InvariantViolationError), and finite features
+    (NonFiniteError)."""
     feats = np.asarray(features01, dtype=np.float64)
-    labs = np.asarray(labels, dtype=np.int64)
+    labs = np.asarray(labels)
     n = feats.shape[0]
     if feats.shape[1] != rows * cols:
         raise ValueError(f"features have {feats.shape[1]} columns, expected {rows * cols}")
-    pixels = np.clip(np.rint(feats * 255.0), 0, 255).astype(np.uint8)
+    if labs.shape != (n,):
+        raise CountMismatchError(f"{n} feature rows vs labels of shape {labs.shape}")
+    if n and (labs.dtype.kind not in "iu" or labs.min() < 0 or labs.max() > 255):
+        raise InvariantViolationError(
+            f"IDX labels must be integers in [0, 255], got {labs.dtype} "
+            f"in [{labs.min()}, {labs.max()}]"
+        )
+    if feats.size and not np.isfinite([feats.min(), feats.max()]).all():
+        raise NonFiniteError("IDX features must be finite")
+    scaled = feats * 255.0  # the one float64 copy: scaled, rounded and clipped in place
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, 255, out=scaled)
+    pixels = scaled.astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
+        f.write(pixels.data)
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, n))
         f.write(labs.astype(np.uint8).tobytes())
@@ -151,11 +171,18 @@ def _round_robin_labels(n: int, num_classes: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64) % num_classes
 
 
+def _require_noise_scale(key: str, value: float) -> None:
+    """A dataset's noise scale, named by its config key, lies in [0, inf)."""
+    if not 0.0 <= value < np.inf:
+        raise InvariantViolationError(f"{key} must be >= 0 and finite, got {value}")
+
+
 def make_blobs(n: int, num_classes: int, d: int, spread: float, seed: int) -> Dataset:
     """Gaussian clusters at seeded random centers inside the unit box."""
     labels = _round_robin_labels(n, num_classes)
     if d < 1:
         raise InvariantViolationError(f"blobs_dim must be >= 1, got {d}")
+    _require_noise_scale("blobs_spread", spread)
     rng = stream(seed, "blobs")
     centers = rng.uniform(0.25, 0.75, size=(num_classes, d))
     feats = centers[labels]
@@ -169,6 +196,7 @@ def make_ring(n: int, num_classes: int, radius: float, noise: float, seed: int) 
     """Points on per-class arcs of a circle (centered in the unit square)
     with radial noise."""
     labels = _round_robin_labels(n, num_classes)
+    _require_noise_scale("ring_noise", noise)
     rng = stream(seed, "ring")
     arc = 2.0 * np.pi / num_classes
     theta = labels * arc + rng.uniform(0.0, arc, size=n)
@@ -176,6 +204,12 @@ def make_ring(n: int, num_classes: int, radius: float, noise: float, seed: int) 
     feats = np.stack([0.5 + r * np.cos(theta), 0.5 + r * np.sin(theta)], axis=1)
     feats = np.clip(feats, 0.0, 1.0)
     return Dataset(feats, labels, name="ring", num_classes=num_classes)
+
+
+# elements of one row block (256 KiB of float64): the pattern generator and
+# augmentation draw and finish their rows block after block, so their
+# temporaries stay small while the draws come in the order of one (n, d) draw
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def make_pattern_images(
@@ -194,12 +228,24 @@ def make_pattern_images(
     information sits in the spatial frequency content rather than in any
     fixed pixel, which makes raw-pixel linear classification hard while the
     class manifold (a torus of shifts) stays simple.
+
+    Randomness contract: one stream, ``stream(seed, "patterns")``, first
+    draws the templates class by class (4 waves, each 2 integers and 2
+    uniforms), then each image in row order draws, in this order,
+    ``integers(-max_shift, max_shift + 1, size=2)`` for its roll (dy, dx),
+    ``uniform(lo, hi)`` for its contrast c and, when ``noise > 0``, a
+    (side, side) ``normal(0, noise)`` draw z; pixel p is
+    ``clip(rolled[p] * c + z[p], 0, 1)``.  The uniform is taken as numpy
+    computes it, lo + (hi - lo) * u from one double u, and the normal as
+    0.0 + noise * z from side² standard normals.  Rows are finished in
+    blocks, so no (n, d) temporary is made besides the output.
     """
     labels = _round_robin_labels(n, num_classes)
     if side < 1 or max_shift < 0:
         raise InvariantViolationError(
             f"patterns_side must be >= 1 and patterns_shift >= 0, got {side} and {max_shift}"
         )
+    _require_noise_scale("patterns_noise", noise)
     lo, hi = contrast_range
     if not (lo <= hi and np.isfinite(hi - lo)):
         raise InvariantViolationError(
@@ -224,14 +270,34 @@ def make_pattern_images(
             )
         img /= peak
         templates.append(img)
-    feats = np.empty((n, side * side))
-    for i in range(n):
-        dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
-        img = np.roll(templates[labels[i]], (dy, dx), axis=(0, 1))
-        img = img * rng.uniform(*contrast_range)
+    # np.roll(t, (dy, dx)) is the window of the 2 x 2 tiling of t at ((-dy) % side, (-dx) % side)
+    tiles = np.tile(np.stack(templates), (1, 2, 2))
+    d = side * side
+    feats = np.empty((n, d))
+    images = feats.reshape(n, side, side)
+    step = max(1, _BLOCK_ELEMENTS // d)
+    contrast = np.empty((step, 1))
+    draws = np.empty((step, d))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        for j, label in enumerate(labels[start:stop].tolist()):
+            dy, dx = rng.integers(-max_shift, max_shift + 1, size=2).tolist()
+            contrast[j] = rng.random()
+            if noise > 0.0:
+                rng.standard_normal(out=draws[j])
+            y0, x0 = -dy % side, -dx % side
+            images[start + j] = tiles[label, y0:y0 + side, x0:x0 + side]
+        block, m = feats[start:stop], stop - start
+        c = contrast[:m]
+        c *= hi - lo
+        c += lo
+        block *= c
         if noise > 0.0:
-            img = img + rng.normal(0.0, noise, size=img.shape)
-        feats[i] = np.clip(img, 0.0, 1.0).reshape(-1)
+            z = draws[:m]
+            z *= noise
+            z += 0.0  # normal(0, noise)'s 0.0 + noise * z, which turns -0.0 into 0.0
+            block += z
+        np.clip(block, 0.0, 1.0, out=block)
     return Dataset(feats, labels, name="patterns", num_classes=num_classes,
                    image_shape=(side, side))
 
@@ -295,11 +361,6 @@ def _shift_batch(batch: np.ndarray, policy: AugmentationPolicy,
     return shifted.reshape(batch.shape)
 
 
-# elements of one row block of augmentation draws (256 KiB of float64): drawn
-# block after block, a stage's draws come in the order of one (b, d) draw
-_AUGMENT_ELEMENTS = 1 << 15
-
-
 def augment_view(x: np.ndarray, policy: AugmentationPolicy, rng: np.random.Generator) -> np.ndarray:
     """One stochastic view of a (d,) row or of every row of a (b, d) batch:
     pixel shift (zero-fill), coordinate masking, Gaussian noise, then clamp
@@ -320,7 +381,7 @@ def augment_view(x: np.ndarray, policy: AugmentationPolicy, rng: np.random.Gener
     else:
         out = batch.copy()
     n_mask = int(policy.mask_fraction * d)
-    step = max(1, _AUGMENT_ELEMENTS // max(d, 1))
+    step = max(1, _BLOCK_ELEMENTS // max(d, 1))
     blocks = [out[i:i + step] for i in range(0, b, step)]
     if n_mask > 0:
         for block in blocks:

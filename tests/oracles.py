@@ -177,3 +177,33 @@ def augment_whole_batch(x, noise_sigma, mask_fraction, shift_max, image_shape, r
     if noise_sigma > 0.0:
         out += rng.normal(0.0, noise_sigma, size=(b, d))
     return np.clip(out, 0.0, 1.0).reshape(np.shape(x))
+
+
+def pattern_images_loop(n, num_classes, side, rng, max_shift=8, contrast_range=(0.5, 1.0),
+                        noise=0.05):
+    """The pattern-image features drawn and finished one image at a time:
+    the class templates (4 waves each: 2 integer frequencies, a phase and
+    an amplitude, shifted to min 0 and scaled to max 1), then per image
+    its (dy, dx) roll, its contrast uniform and its (side, side) noise,
+    clipped to [0, 1].  Image i is of class i % num_classes."""
+    yy, xx = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    templates = []
+    for _ in range(num_classes):
+        img = np.zeros((side, side))
+        for _ in range(4):
+            fy, fx = rng.integers(1, 4, size=2)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            amp = rng.uniform(0.5, 1.0)
+            img += amp * np.cos(2.0 * np.pi * (fy * yy + fx * xx) / side + phase)
+        img -= img.min()
+        img /= img.max()
+        templates.append(img)
+    feats = np.empty((n, side * side))
+    for i in range(n):
+        dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
+        img = np.roll(templates[i % num_classes], (dy, dx), axis=(0, 1))
+        img = img * rng.uniform(*contrast_range)
+        if noise > 0.0:
+            img = img + rng.normal(0.0, noise, size=img.shape)
+        feats[i] = np.clip(img, 0.0, 1.0).reshape(-1)
+    return feats

@@ -330,7 +330,9 @@ EXIT_CASES = [
     ("curvature", SMALL_PATTERNS + "patterns_side = 0", 12, "patterns_side"),
     ("pretrain", SMALL_PATTERNS + "patterns_side = 1", 12, "template of class 0 constant"),
     ("curvature", SMALL_PATTERNS + "patterns_shift = -1", 12, "patterns_shift"),
-    ("curvature", SMALL_PATTERNS + "patterns_noise = -1", 0, ""),  # no noise
+    ("curvature", SMALL_PATTERNS + "patterns_noise = -1", 12, "patterns_noise must be >= 0"),
+    ("curvature", "dataset = ring\nring_noise = -1", 12, "ring_noise must be >= 0"),
+    ("curvature", "blobs_spread = -1", 12, "blobs_spread must be >= 0 and finite, got -1.0"),
     ("curvature", SMALL_PATTERNS + "patterns_contrast_max = 0.25", 12, "patterns_contrast_min"),
     ("curvature", SMALL_PATTERNS + "patterns_contrast_max = inf", 12, "must be finite"),
     ("curvature", "blobs_dim = -1", 12, "blobs_dim must be >= 1"),

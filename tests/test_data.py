@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from curvalign.errors import (
     CountMismatchError,
     InvalidCountsError,
     InvariantViolationError,
+    NonFiniteError,
     ShapeMismatchError,
     TruncatedFileError,
 )
-from oracles import augment_whole_batch
+from oracles import augment_whole_batch, pattern_images_loop
 
 
 def _write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, image_magic=2051, label_magic=2049):
@@ -85,6 +87,109 @@ def test_save_idx_round_trip(tmp_path):
     loaded = load_idx(images, labels)
     assert np.max(np.abs(loaded.features - ds.features)) <= 0.5 / 255.0  # 8-bit quantization
     assert np.array_equal(loaded.labels, ds.labels)
+
+
+def _criterion_7_set():
+    return make_pattern_images(3048, 10, 28, seed=0)
+
+
+def test_save_idx_bytes_of_the_criterion_7_set(tmp_path):
+    ds = _criterion_7_set()
+    images, labels = tmp_path / "im", tmp_path / "lb"
+    save_idx(ds.features, ds.labels, 28, 28, images, labels)
+    pixels = np.clip(np.rint(ds.features * 255.0), 0, 255).astype(np.uint8)
+    assert images.read_bytes() == struct.pack(">IIII", 2051, 3048, 28, 28) + pixels.tobytes()
+    assert labels.read_bytes() == (struct.pack(">II", 2049, 3048)
+                                   + bytes(i % 10 for i in range(3048)))
+    loaded = load_idx(images, labels)
+    assert np.array_equal(loaded.features, pixels / 255.0)
+    assert np.array_equal(loaded.labels, ds.labels)
+
+
+@pytest.mark.parametrize("labels,error", [
+    (np.arange(2), CountMismatchError),               # one label short
+    (np.zeros((3, 1), dtype=np.int64), CountMismatchError),
+    (np.array([0, 300, 1]), InvariantViolationError),  # was written as 44
+    (np.array([0, -1, 1]), InvariantViolationError),   # was written as 255
+    (np.array([0.0, 1.5, 2.0]), InvariantViolationError),
+])
+def test_save_idx_rejects_labels_the_format_cannot_hold(tmp_path, labels, error):
+    images, labs = tmp_path / "im", tmp_path / "lb"
+    with pytest.raises(error):
+        save_idx(np.full((3, 4), 0.5), labels, 2, 2, images, labs)
+    assert not images.exists() and not labs.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_idx_rejects_non_finite_features(tmp_path, bad):
+    feats = np.full((3, 4), 0.5)
+    feats[1, 2] = bad
+    images, labs = tmp_path / "im", tmp_path / "lb"
+    with pytest.raises(NonFiniteError):
+        save_idx(feats, np.arange(3), 2, 2, images, labs)
+    assert not images.exists() and not labs.exists()
+
+
+def test_save_idx_writes_labels_0_and_255(tmp_path):
+    images, labs = tmp_path / "im", tmp_path / "lb"
+    save_idx(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([255, 0], dtype=np.uint8), 1, 2,
+             images, labs)
+    assert load_idx(images, labs).labels.tolist() == [255, 0]
+
+
+MiB = 1 << 20
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_make_pattern_images_peak_memory_is_its_output_plus_4_mib():
+    output = 3048 * 784 * 8
+    assert _peak_bytes(make_pattern_images, 3048, 10, 28, 0) <= output + 4 * MiB
+
+
+def test_save_idx_peak_memory_is_one_float64_copy_plus_the_pixels(tmp_path):
+    ds = _criterion_7_set()
+    bound = ds.features.nbytes + ds.features.size + MiB
+    assert _peak_bytes(save_idx, ds.features, ds.labels, 28, 28,
+                       tmp_path / "im", tmp_path / "lb") <= bound
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((3048, 10, 28, 0), {}),            # criterion 7's set
+    ((3048, 10, 28, 31), {}),           # score-eager's set at seed 31
+    ((20, 10, 28, 3), {}),              # fewer rows than one 41-row block
+    ((100, 7, 28, 4), {}),              # not a multiple of the block
+    ((50, 3, 8, 5), {"max_shift": 0}),
+    ((50, 3, 8, 5), {"max_shift": 8}),  # shifts reach the side
+    ((50, 3, 8, 5), {"max_shift": 11}),
+    ((60, 4, 28, 6), {"noise": 0.0}),
+    ((60, 4, 28, 6), {"contrast_range": (0.7, 0.7)}),
+    ((30, 2, 2, 7), {}),
+], ids=["criterion-7", "score-eager-31", "n-20", "n-100", "shift-0", "shift-8", "shift-11",
+        "noise-0", "contrast-c-c", "side-2"])
+def test_pattern_images_equal_the_reference_loop_bit_for_bit(args, kwargs):
+    n, num_classes, side, seed = args
+    got = make_pattern_images(*args, **kwargs).features
+    want = pattern_images_loop(n, num_classes, side, stream(seed, "patterns"), **kwargs)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("make,key", [
+    (lambda v: make_pattern_images(20, 2, 8, seed=0, noise=v), "patterns_noise"),
+    (lambda v: make_blobs(20, 2, 4, v, seed=0), "blobs_spread"),
+    (lambda v: make_ring(20, 2, 0.3, v, seed=0), "ring_noise"),
+])
+@pytest.mark.parametrize("value", [-0.5, -1.0, np.inf, np.nan])
+def test_dataset_noise_must_be_finite_and_non_negative(make, key, value):
+    with pytest.raises(InvariantViolationError, match=f"{key} must be >= 0 and finite"):
+        make(value)
 
 
 def test_make_blobs_properties():
