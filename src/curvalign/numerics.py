@@ -42,14 +42,17 @@ because the benchmark's per-layer metric list names every primitive.
 (b, 1).  Both score kinds read one (b, b) pair matrix: the squared
 distances D^2 of the centred points, which every kNN selects on, or the rbf
 kernel matrix K = exp(-gamma D^2); the kNN lends it, else it is built here.
-``pair_terms`` gathers a row block's neighbor pairs from it (cosines from
-D^2, or K), ``curvature_rows`` sums them for batches and single edge
-bundles and owns the rule that every score needs two edges (ValueError),
-and both adjoints are one (b, b) pair weight followed by the same matmuls.
+Every term is symmetric in its pair, so ``pair_terms`` gathers each of a
+row block's k(k - 1)/2 unordered neighbor pairs once, with one flat
+``take`` (cosines from D^2, or K), ``curvature_rows`` sums them for batches
+and single edge bundles over 64 KiB row blocks and owns the rule that every
+score needs two edges (ValueError), and both adjoints are one (b, b) pair
+weight followed by the same matmuls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -207,11 +210,13 @@ def _fwd_broadcast_row(a, *, count):
 # the gram expansion resolves D^2 to about 1e-16 of the batch's largest entry;
 # a cosine whose edge has D^2 <= SHORT_EDGE times that raises DegenerateEdgeError
 SHORT_EDGE = 1e-8
-# elements of one row block's (rows, k, k) gathered pairs, 1 MiB each: a
-# training batch is one block; sq_distance_matrix and the kNN selection work
-# on the (b, b) matrix in (rows, b) blocks of the same size
+# elements of one row block's temporaries, 1 MiB each: the cosine adjoint's
+# (rows, k, k) gathered pairs (a training batch is one block);
+# sq_distance_matrix and the kNN selection work on the (b, b) matrix in
+# (rows, b) blocks of the same size
 _BLOCK_ELEMENTS = 1 << 17
-# elements of one row block's (rows, k, k) pair index and weights in the rbf
+# elements of one row block's pair terms and their flat index in the
+# curvature sums, and of its (rows, k, k) pair index and weights in the rbf
 # adjoint, 64 KiB each: temporaries this small are reused from the heap step
 # after step, where 1 MiB ones are returned to the kernel and faulted back
 _PAIR_ELEMENTS = 1 << 13
@@ -282,42 +287,61 @@ def rbf_kernel_matrix(points: Array, gamma: float) -> Array:
     return rbf_kernel_from_sq(sq_distance_matrix(points), gamma)
 
 
-def pair_terms(matrix: Array, neighbors: Array, score: str, first: int = 0) -> Array:
-    """The terms over each row's ordered neighbor pairs (m, k, k), diagonal
-    zeroed, for rows first, first + 1, ... of the pair matrix: K[n_a, n_b]
-    for rbf; for cosine (r_a^2 + r_b^2 - D^2[n_a, n_b]) / (2 r_a r_b) with
-    r_a^2 = D^2[i, n_a], where r_a^2 <= SHORT_EDGE max(D^2) raises
-    DegenerateEdgeError.
+@functools.cache
+def unordered_pairs(k: int) -> tuple[Array, Array]:
+    """(a, b) of every unordered pair a < b of k neighbors, ``np.triu_indices(k, 1)``;
+    read-only, since every caller shares them."""
+    pairs = np.triu_indices(k, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def pair_terms(matrix: Array, neighbors: Array, score: str, first: int = 0,
+               floor: Optional[float] = None) -> Array:
+    """The terms t(a, b) over each row's unordered neighbor pairs a < b,
+    (m, k(k - 1)/2) in ``unordered_pairs`` order, for rows first, first + 1,
+    ... of the pair matrix, gathered with one flat ``take``: K[n_a, n_b] for
+    rbf; for cosine (r_a^2 + r_b^2 - D^2[n_a, n_b]) / (2 r_a r_b) with
+    r_a^2 = D^2[i, n_a], where r_a^2 <= ``floor`` (by default SHORT_EDGE
+    max(D^2)) raises DegenerateEdgeError.
     """
-    pairs = matrix[neighbors[:, :, None], neighbors[:, None, :]]
+    a, b = unordered_pairs(neighbors.shape[1])
+    flat = neighbors[:, a]
+    flat *= matrix.shape[0]
+    flat += neighbors[:, b]
+    terms = matrix.take(flat)
+    del flat
     if score == "cosine":
         r2 = matrix[np.arange(first, first + len(neighbors))[:, None], neighbors]
-        if r2.size and r2.min() <= SHORT_EDGE * matrix.max():
-            row, a = np.unravel_index(np.argmin(r2), r2.shape)
-            raise DegenerateEdgeError(f"row {first + row}: edge to neighbor {a} has a squared "
+        if floor is None:
+            floor = SHORT_EDGE * matrix.max()
+        if r2.size and r2.min() <= floor:
+            row, col = np.unravel_index(np.argmin(r2), r2.shape)
+            raise DegenerateEdgeError(f"row {first + row}: edge to neighbor {col} has a squared "
                                       f"length <= {SHORT_EDGE:g} of the largest in its batch")
         inv = 1.0 / np.sqrt(r2)
-        np.subtract(r2[:, :, None], pairs, out=pairs)
-        pairs += r2[:, None, :]
-        pairs *= inv[:, :, None]
-        pairs *= (0.5 * inv)[:, None, :]
-    diag = np.arange(neighbors.shape[1])
-    pairs[:, diag, diag] = 0.0
-    return pairs
+        np.subtract(r2[:, a] + r2[:, b], terms, out=terms)
+        terms *= inv[:, a]
+        terms *= (0.5 * inv)[:, b]
+    return terms
 
 
 def curvature_rows(matrix: Array, neighbors: Array, score: str) -> Array:
     """Each row's sum of ``pair_terms`` over its neighbor pairs a < b, (m,).
 
     Row i of ``neighbors`` lists row i's neighbors in the pair matrix: the
-    kernel matrix for rbf, the squared distances for cosine.  The
-    (rows, k, k) pairs run over row blocks."""
-    k = neighbors.shape[1]
+    kernel matrix for rbf, the squared distances for cosine.  The terms run
+    over row blocks of at most _PAIR_ELEMENTS pairs."""
+    m, k = neighbors.shape
     if k < 2:
         raise ValueError("curvature needs at least two edges")
-    out = np.empty(neighbors.shape[0])
-    for rows in _row_blocks(*neighbors.shape, k):
-        out[rows] = pair_terms(matrix, neighbors[rows], score, rows.start).sum(axis=(1, 2)) / 2.0
+    floor = SHORT_EDGE * matrix.max() if score == "cosine" else None
+    step = max(1, _PAIR_ELEMENTS // (k * (k - 1) // 2))
+    out = np.empty(m)
+    for first in range(0, m, step):
+        rows = slice(first, first + step)
+        out[rows] = pair_terms(matrix, neighbors[rows], score, first, floor).sum(axis=1)
     return out
 
 
@@ -397,7 +421,7 @@ def _bwd_curvature(ins, out, g, aux):
     sum into one symmetric pair weight W (the diagonal carries none), and
     d/dx = scale (W x - rowsum(W) o x) on the centred x.  ``np.add.at`` adds
     each row block's weights into one zeroed (b * b,) vector in input order:
-    cosine re-gathers the matrix over the forward's row blocks (fewer numpy
+    cosine re-gathers the matrix over _BLOCK_ELEMENTS row blocks (fewer numpy
     calls measured faster on desk-euclid), rbf over _PAIR_ELEMENTS blocks.
     rbf: W = C o K with C_pq = sum_i g_i #{(a, b): n_a = p, n_b = q} over each
     row i's ordered neighbor pairs; scale 2 gamma.  cosine: W_pq = d/dD^2_pq,

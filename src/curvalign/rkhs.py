@@ -23,7 +23,7 @@ from .geometry import (
     knn_from_sq_distances,
     sq_distance_matrix,
 )
-from .numerics import curvature_rows, pair_terms, rbf_kernel_from_sq
+from .numerics import curvature_rows, pair_terms, rbf_kernel_from_sq, unordered_pairs
 
 # the median heuristic falls back to gamma = 1.0 at or below this median distance
 EDGE_FLOOR = 1e-12
@@ -146,11 +146,14 @@ def normalized_gram(edges: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
     For the kernels in scope all entries land in [-1, 1]; the diagonal is
     exactly 1.  The others are the curvature primitive's pair terms of the
-    bundle as a batch of one row; a linear edge too short to resolve (a zero
-    edge has no direction) raises DegenerateEdgeError.
+    bundle as a batch of one row, mirrored across the diagonal; a linear edge
+    too short to resolve (a zero edge has no direction) raises
+    DegenerateEdgeError.
     """
-    values = pair_terms(*bundle_batch(edges, _gamma(spec)))[0]
-    np.fill_diagonal(values, 1.0)
+    terms = pair_terms(*bundle_batch(edges, _gamma(spec)))[0]
+    values = np.eye(len(edges))
+    a, b = unordered_pairs(len(edges))
+    values[a, b] = values[b, a] = terms
     return values
 
 

@@ -6,15 +6,16 @@ does can touch encoder weights.
 
 A step runs on two lanes.  Each view's encoder/projector MLP is built on
 its own graph, view 0's on the main thread and view 1's on one worker
-thread (for an MLP too small to gain from it, on the main thread too); a
-joint graph takes the two embeddings as leaves and holds the whole
-objective.  Its ``reverse_grad`` gives the embeddings' adjoints, from
-which each lane runs its MLP backward, and each parameter's gradient is
-the sum of its two per-view shares: the single graph's
-gradient bit for bit, since IEEE addition of two terms commutes.  Between
-its lane tasks the worker builds the next batch's two views.  The loop
-joins every task before ``on_step``, and since every draw is keyed by
-(epoch, batch, view) the overlap cannot change a bit.
+thread; a joint graph takes the two embeddings as leaves and holds the
+whole objective.  Its ``reverse_grad`` gives the embeddings' adjoints,
+from which each lane runs its MLP backward, and each parameter's gradient
+is the sum of its two per-view shares: the single graph's gradient bit for
+bit, since IEEE addition of two terms commutes.  Between its lane tasks
+the worker builds the next batch's two views.  For an MLP too small to
+gain from a second thread there is no worker: the same tasks run, in the
+same order, on the calling thread.  The loop joins every task before
+``on_step``, and since every draw is keyed by (epoch, batch, view) neither
+the overlap nor the thread a task runs on can change a bit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -171,7 +173,7 @@ class History:
 
 
 def _first_views(
-    pool: ThreadPoolExecutor,
+    submit: Callable[..., Future],
     dataset: Dataset,
     policy: AugmentationPolicy,
     seed: int,
@@ -179,11 +181,12 @@ def _first_views(
     batch_idx: int,
     idx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The first batch's views side by side, view 1 on the worker and view 0
-    here; both streams are made here, in view order."""
+    """The first batch's views side by side: view 1 through ``submit`` (the
+    worker's, or ``_run_here`` when there is no worker) and view 0 here;
+    both streams are made here, in view order."""
     rows = dataset.features[idx]
     rng0, rng1 = (stream(seed, "augment", epoch, batch_idx, view) for view in (0, 1))
-    view1 = pool.submit(augment_view, rows, policy, rng1)
+    view1 = submit(augment_view, rows, policy, rng1)
     return augment_view(rows, policy, rng0), view1.result()
 
 
@@ -206,10 +209,11 @@ def _first_non_finite(lanes: tuple[Graph, Graph], joint: Optional[Graph],
 
 
 # multiply-adds of one view's MLP forward (batch rows x weights) from which
-# view 1's lane runs on the worker thread.  A smaller MLP's numpy calls are
-# too short to leave the GIL for long, so there a second thread only adds
-# hand-offs: lowdim-rbf's 3.1M ran 5% faster on the calling thread,
-# desk-euclid's 65M 10% faster on the worker
+# pretrain has a worker thread for view 1's lane and the next batch's views.
+# A smaller MLP's numpy calls are too short to leave the GIL for long, so
+# there a second thread only adds hand-offs: lowdim-rbf's 3.1M ran 5%
+# faster with its lanes on the calling thread, and 4.6% faster again with
+# no worker at all; desk-euclid's 65M ran 10% faster on the worker
 _LANE_MACS = 1 << 24
 
 
@@ -242,7 +246,7 @@ def _lane_step(
     ``run_lane(fn, *args)`` runs view 1's lane, the worker's ``submit`` or
     ``_run_here``: its forward, then, once the joint graph's
     ``reverse_grad`` has given z' its adjoint, its backward.
-    ``prefetch(view)`` is called after each lane task is queued, so the
+    ``prefetch(view)`` is called after each lane task is queued, so a
     worker builds the next batch's view 0 while this thread runs the loss
     and view 1 while it runs view 0's backward.  A NonFiniteError is
     raised prefixed with ``where``, after the lane tasks have finished and
@@ -293,9 +297,11 @@ def pretrain(
     objective on the joint graph, backpropagate, take an Adam step.
     Neighbor search runs on the current embeddings of each step (never
     cached across steps).  The next batch's views, across epoch boundaries
-    too, are built on the worker thread while the step runs; the loop
-    waits for them before ``on_step``, so no background work outlives a
-    step, and an error in a worker task is raised there with its own class.
+    too, are built while the step runs: on the worker thread when the MLP
+    reaches ``_LANE_MACS`` multiply-adds per view, else on the calling
+    thread, where no worker is started at all.  The loop waits for them
+    before ``on_step``, so no background work outlives a step, and an error
+    in a view's task is raised there with its own class.
     A NonFiniteError in a step is raised with the prefix "epoch E, batch
     B:", naming the first primitive of the step's tapes that made a NaN or
     inf when there is one.
@@ -320,9 +326,9 @@ def pretrain(
     sums = np.zeros(5)
     count = 0
     macs = config.batch_size * sum(fan_in * fan_out for _, fan_in, fan_out, _ in arch.layers())
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        run_lane = pool.submit if macs >= _LANE_MACS else _run_here
-        views = _first_views(pool, dataset, policy, config.seed, *schedule[0])
+    with ThreadPoolExecutor(max_workers=1) if macs >= _LANE_MACS else nullcontext() as pool:
+        submit = _run_here if pool is None else pool.submit
+        views = _first_views(submit, dataset, policy, config.seed, *schedule[0])
         for (epoch, batch_idx, _), ahead in zip(schedule, schedule[1:] + [None]):
             upcoming: list[Future] = []
             rows = None if ahead is None else dataset.features[ahead[2]]
@@ -330,9 +336,9 @@ def pretrain(
             def prefetch(view: int) -> None:
                 if ahead is not None:
                     rng = stream(config.seed, "augment", *ahead[:2], view)
-                    upcoming.append(pool.submit(augment_view, rows, policy, rng))
+                    upcoming.append(submit(augment_view, rows, policy, rng))
 
-            breakdown, grads = _lane_step(run_lane, params, config, views, prefetch,
+            breakdown, grads = _lane_step(submit, params, config, views, prefetch,
                                           f"epoch {epoch}, batch {batch_idx}")
             del views  # Adam is the step's memory peak
             params, state = adam_step(

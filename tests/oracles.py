@@ -6,6 +6,7 @@ share no code with it.
 """
 
 import math
+import operator
 import statistics
 
 import numpy as np
@@ -77,6 +78,29 @@ def curvature_per_point(points, k, kind, gamma):
                     nb = math.sqrt(sum(x * x for x in edges[b]))
                     total += num / (na * nb)
         scores.append(total)
+    return np.asarray(scores)
+
+
+def curvature_at_neighbors(points, neighbors, kind, gamma):
+    """Curvature score of every row of ``points`` against the given neighbor
+    table (row i lists row i's neighbors, repeats allowed): the sum over its
+    unordered edge pairs of the cosine, or for rbf of the kernel of the two
+    edges (each edge's self-kernel is 1), each product summed with fsum."""
+    points = np.asarray(points, dtype=float)
+    scores = []
+    for i, row in enumerate(np.asarray(neighbors)):
+        center = points[i].tolist()
+        edges = [[x - c for x, c in zip(points[j].tolist(), center)] for j in row]
+        lengths = [math.hypot(*e) for e in edges]
+        terms = []
+        for a in range(len(edges) - 1):
+            for b in range(a + 1, len(edges)):
+                if kind == "rbf":
+                    terms.append(math.exp(-gamma * math.dist(edges[a], edges[b]) ** 2))
+                else:
+                    dot = math.fsum(map(operator.mul, edges[a], edges[b]))
+                    terms.append(dot / (lengths[a] * lengths[b]))
+        scores.append(math.fsum(terms))
     return np.asarray(scores)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curvalign.data import make_pattern_images
 from curvalign.errors import DegenerateEdgeError, InvariantViolationError, KTooLargeError
 from curvalign.geometry import (
     EdgeBundle,
@@ -17,7 +18,7 @@ from curvalign.geometry import (
 from curvalign.numerics import _BLOCK_ELEMENTS, Graph, finite_diff_check
 from curvalign.rkhs import KernelSpec
 
-from oracles import curvature_per_point, knn_full_sort
+from oracles import curvature_at_neighbors, curvature_per_point, knn_full_sort
 
 LINE = np.array([[0.0], [1.0], [3.0]])
 
@@ -284,6 +285,44 @@ def test_fused_scores_match_straight_line_oracle():
         nb = NeighborGraph(knn_full_sort(pts, 10))
         got = curvature_scores_graph(Graph().leaf(pts), nb, metric).value.ravel()
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(41)
+    small = rng.normal(size=(64, 8))
+    return [(rng.normal(size=(256, 32)), 20), (make_pattern_images(1024, 10, 28, seed=41).features, 10),
+            (small, 2), (small, 63)]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["256x32-k20", "1024x784-k10", "k=2", "k=b-1"])
+def test_unordered_pair_sums_match_the_per_row_oracle(case):
+    # each neighbor pair is scored once; the oracle sums every pair's cosine
+    # or kernel from the edges themselves, with fsum
+    points, k = _oracle_cases()[case]
+    for metric in ("euclidean", KernelSpec("rbf")):
+        knn = knn_metric(points, k, metric)
+        gamma = None if knn.kernel is None else knn.kernel.gamma
+        want = curvature_at_neighbors(points, knn.indices, "cosine" if gamma is None else "rbf", gamma)
+        got = batch_curvature(points, k, metric)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (case, metric)
+
+
+def test_a_neighbor_repeated_in_every_row_scores_to_the_oracle():
+    rng = np.random.default_rng(42)
+    points = rng.normal(size=(256, 32))
+    repeated = knn_euclidean(points, 20).indices
+    repeated[:, -1] = repeated[:, 0]  # a pair of equal edges in every row: its term is 1
+    for metric, kind, gamma in (("euclidean", "cosine", None), (KernelSpec("rbf", 0.02), "rbf", 0.02)):
+        want = curvature_at_neighbors(points, repeated, kind, gamma)
+        got = curvature_scores_graph(Graph().leaf(points), NeighborGraph(repeated), metric).value[:, 0]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), metric
+
+
+def test_a_short_edge_in_the_last_row_block_names_its_batch_row():
+    points = np.random.default_rng(43).normal(size=(1024, 8))
+    points[1023] = points[1022]  # rows 1022 and 1023: each the other's zero edge
+    with pytest.raises(DegenerateEdgeError, match="^row 1022: edge to neighbor 0 "):
+        batch_curvature(points, 10)
 
 
 def test_graph_scores_gradient():

@@ -436,6 +436,20 @@ def test_prefetched_views_train_bit_identically_to_inline_views(case, tmp_path, 
     assert len(runs[0][1]) == 2
 
 
+@pytest.mark.parametrize("case", [0, 1], ids=["shifted-images", "rbf-blobs"])
+def test_a_worker_and_the_calling_thread_train_bit_identically(case, tmp_path, monkeypatch):
+    # both configs are below _LANE_MACS; at 0 every lane and view task runs on a worker
+    config, dataset = _prefetch_cases()[case]
+    runs = []
+    for lane_macs in (trainer._LANE_MACS, 0):
+        monkeypatch.setattr(trainer, "_LANE_MACS", lane_macs)
+        ckpt, history = pretrain(config, dataset)
+        path = tmp_path / f"lane_macs{lane_macs}.ckpt"
+        save_checkpoint(ckpt, path)
+        runs.append((path.read_bytes(), [b.as_tuple() for b in history.breakdowns()]))
+    assert runs[0] == runs[1]
+
+
 class _InjectedError(Exception):
     pass
 
@@ -498,13 +512,16 @@ def test_prefetch_is_joined_before_every_on_step(monkeypatch):
 
 
 def test_a_small_mlp_runs_both_lanes_on_the_calling_thread(monkeypatch):
-    events = []
+    events, threads = [], []
     for attr in ("augment_view", "_lane_forward", "seeded_grad"):
         _logged_calls(monkeypatch, events, attr=attr)
-    pretrain(_small_config(epochs=2, seed=13, batch_size=32), make_blobs(128, 4, 16, 0.05, seed=13))
+    before = threading.active_count()
+    pretrain(_small_config(epochs=2, seed=13, batch_size=32), make_blobs(128, 4, 16, 0.05, seed=13),
+             on_step=lambda *a: threads.append(threading.active_count()))
     main = threading.get_ident()
-    on_worker = [ev[1][0] for ev in events if ev[0] == "start" and ev[2] != main]
-    assert on_worker == ["augment_view"] * 15  # view 1 of the first batch, then each next batch's
+    assert sum(ev[0] == "start" for ev in events) == 3 * 16  # every view and lane task ran
+    assert [ev for ev in events if ev[2] != main] == []  # and none off the calling thread
+    assert threads == [before] * 8  # no worker thread was started
     assert 32 * sum(i * o for _, i, o, _ in SMALL_ARCH.layers()) < trainer._LANE_MACS
 
 
