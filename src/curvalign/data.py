@@ -344,21 +344,19 @@ class AugmentationPolicy:
 def _shift_batch(batch: np.ndarray, policy: AugmentationPolicy,
                  rng: np.random.Generator) -> np.ndarray:
     """Shift each image row by its own (dy, dx) in [-s, s]^2, zero-filling
-    what slides in; one slice assignment per distinct offset."""
+    what slides in: pixel (y, x) of the output is pixel (y - dy, x - dx) of
+    the input, or 0.  The batch is copied once into a zero border of s
+    pixels, and each row's output is its window at (s - dy, s - dx), taken
+    for all rows by one fancy index, so the numpy calls do not grow with
+    the number of distinct offsets."""
     rows, cols = policy.image_shape
     s = policy.shift_max
-    shifts = rng.integers(-s, s + 1, size=(batch.shape[0], 2))
-    imgs = batch.reshape(-1, rows, cols)
-    shifted = np.zeros_like(imgs)
-    offsets, group = np.unique(shifts, axis=0, return_inverse=True)
-    for g, (dy, dx) in enumerate(offsets):
-        members = np.flatnonzero(group == g)
-        src_y = slice(max(0, -dy), rows - max(0, dy))
-        src_x = slice(max(0, -dx), cols - max(0, dx))
-        dst_y = slice(max(0, dy), rows - max(0, -dy))
-        dst_x = slice(max(0, dx), cols - max(0, -dx))
-        shifted[members, dst_y, dst_x] = imgs[members, src_y, src_x]
-    return shifted.reshape(batch.shape)
+    b = batch.shape[0]
+    shifts = rng.integers(-s, s + 1, size=(b, 2))
+    padded = np.zeros((b, rows + 2 * s, cols + 2 * s))
+    padded[:, s:s + rows, s:s + cols] = batch.reshape(b, rows, cols)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (rows, cols), axis=(1, 2))
+    return windows[np.arange(b), s - shifts[:, 0], s - shifts[:, 1]].reshape(batch.shape)
 
 
 def augment_view(x: np.ndarray, policy: AugmentationPolicy, rng: np.random.Generator) -> np.ndarray:

@@ -442,7 +442,7 @@ def _bwd_curvature(ins, out, g, aux):
         centre = np.arange(rows.start, rows.stop)[:, None]
         r2 = matrix[centre, nb[rows]]
         inv = 1.0 / np.sqrt(r2)
-        d2 = matrix[nb[rows, :, None], nb[rows, None, :]] + r2[:, :, None] - r2[:, None, :]
+        d2 = matrix.take(pairs) + r2[:, :, None] - r2[:, None, :]
         g_inv = g[rows] * inv
         pair_w = g_inv[:, :, None] * (-0.5 * inv)[:, None, :]
         edge_w = 0.25 * g_inv * inv * inv * (d2 @ inv[:, :, None])[..., 0]

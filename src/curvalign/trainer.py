@@ -122,6 +122,42 @@ def init_adam_state(params: Params) -> AdamState:
     return AdamState(m=zeros(params), v=zeros(params), t=0)
 
 
+# elements of one Adam chunk (512 KiB of float64)
+_ADAM_CHUNK = 1 << 16
+
+
+def _adam_update(theta, g, m, v, lr, weight_decay, c1, c2, buffers):
+    """``adam_step``'s update of one array: fresh (theta, m, v)."""
+    outs = tuple(np.empty(theta.shape) for _ in range(3))
+    arrays = (theta, g, m, v, *outs)
+    if theta.size <= _ADAM_CHUNK:  # the arrays themselves: no slicing cost on small layers
+        chunks = [arrays]
+    else:
+        flat = [a.reshape(-1) for a in arrays]
+        chunks = ([a[start:start + _ADAM_CHUNK] for a in flat]
+                  for start in range(0, theta.size, _ADAM_CHUNK))
+    for theta_c, g_c, m_c, v_c, theta_new, m_new, v_new in chunks:
+        tmp, den = buffers[:, :theta_c.size].reshape((2,) + theta_c.shape)
+        if weight_decay != 0.0:
+            np.multiply(weight_decay, theta_c, out=tmp)
+            g_c = np.add(g_c, tmp, out=tmp)
+        np.multiply(BETA1, m_c, out=m_new)
+        np.multiply(1.0 - BETA1, g_c, out=den)
+        m_new += den
+        np.multiply(g_c, g_c, out=den)
+        den *= 1.0 - BETA2
+        np.multiply(BETA2, v_c, out=v_new)
+        v_new += den
+        np.divide(v_new, c2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        np.divide(m_new, c1, out=tmp)
+        tmp *= lr
+        tmp /= den
+        np.subtract(theta_c, tmp, out=theta_new)
+    return outs
+
+
 def adam_step(
     params: Params,
     grads: Params,
@@ -130,23 +166,31 @@ def adam_step(
     weight_decay: float,
 ) -> tuple[Params, AdamState]:
     """One Adam update.  Weight decay enters the gradient (g + wd * theta)
-    before the moment updates; bias-corrected step with eps outside sqrt."""
+    before the moment updates; bias-corrected step with eps outside sqrt:
+
+        g = g + wd * theta                      (when wd != 0)
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * (g * g)
+        theta = theta - lr * (m / c1) / (sqrt(v / c2) + eps)
+
+    Each new theta, m and v is a fresh array, written _ADAM_CHUNK elements
+    at a time through two work buffers that every chunk reuses, so the
+    step makes no full-size temporaries.  Each chunk runs the IEEE
+    operations above in their order (a product's two factors may swap), so
+    the result is the whole-array expressions' bit for bit."""
     t = state.t + 1
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
-    new_params: Params = {}
-    new_m, new_v = {}, {}
     for name, (w, b) in params.items():
         if grads[name][0].shape != w.shape or grads[name][1].shape != b.shape:
             raise ShapeMismatchError(f"gradient shape mismatch for layer {name!r}")
-        outs = []
-        for theta, g, m, v in zip((w, b), grads[name], state.m[name], state.v[name]):
-            if weight_decay != 0.0:
-                g = g + weight_decay * theta
-            m = BETA1 * m + (1.0 - BETA1) * g
-            v = BETA2 * v + (1.0 - BETA2) * (g * g)
-            theta = theta - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-            outs.append((theta, m, v))
+    largest = max((a.size for pair in params.values() for a in pair), default=1)
+    buffers = np.empty((2, min(_ADAM_CHUNK, largest)))
+    new_params: Params = {}
+    new_m, new_v = {}, {}
+    for name, (w, b) in params.items():
+        outs = [_adam_update(theta, g, m, v, lr, weight_decay, c1, c2, buffers)
+                for theta, g, m, v in zip((w, b), grads[name], state.m[name], state.v[name])]
         new_params[name] = (outs[0][0], outs[1][0])
         new_m[name] = (outs[0][1], outs[1][1])
         new_v[name] = (outs[0][2], outs[1][2])
@@ -248,16 +292,23 @@ def _lane_step(
     ``reverse_grad`` has given z' its adjoint, its backward.
     ``prefetch(view)`` is called after each lane task is queued, so a
     worker builds the next batch's view 0 while this thread runs the loss
-    and view 1 while it runs view 0's backward.  A NonFiniteError is
-    raised prefixed with ``where``, after the lane tasks have finished and
-    the step's graphs have been replayed in build order.
+    and view 1 while it runs view 0's backward.  View 1's forward is queued
+    before view 0's lane scans the parameters, so a worker starts it at
+    once.  A NonFiniteError is raised prefixed with ``where``, after the
+    lane tasks have finished: the scan's own error when a parameter is not
+    finite, else the first error of the step's graphs replayed in build
+    order.
     """
     arch = config.architecture
-    lanes, joint, tasks = (Graph(), Graph()), None, []
+    lanes, joint = (Graph(), Graph()), None
+    tasks = [run_lane(_lane_forward, lanes[1], param_leaves(lanes[1], params, check=False),
+                      arch, views[1])]
     try:
         leaves = param_leaves(lanes[0], params)  # the step's one scan of the parameters
-        tasks.append(run_lane(_lane_forward, lanes[1],
-                              param_leaves(lanes[1], params, check=False), arch, views[1]))
+    except NonFiniteError as err:
+        wait(tasks)  # view 1's lane ran on the unscanned parameters; it is not replayed
+        raise NonFiniteError(f"{where}: {err}") from err
+    try:
         prefetch(0)
         z0 = _lane_forward(lanes[0], leaves, arch, views[0])
         z1 = tasks[0].result()
@@ -331,12 +382,14 @@ def pretrain(
         views = _first_views(submit, dataset, policy, config.seed, *schedule[0])
         for (epoch, batch_idx, _), ahead in zip(schedule, schedule[1:] + [None]):
             upcoming: list[Future] = []
-            rows = None if ahead is None else dataset.features[ahead[2]]
+            rows: list[np.ndarray] = []
 
             def prefetch(view: int) -> None:
                 if ahead is not None:
+                    if not rows:  # gathered here while the worker runs view 1's forward
+                        rows.append(dataset.features[ahead[2]])
                     rng = stream(config.seed, "augment", *ahead[:2], view)
-                    upcoming.append(submit(augment_view, rows, policy, rng))
+                    upcoming.append(submit(augment_view, rows[0], policy, rng))
 
             breakdown, grads = _lane_step(submit, params, config, views, prefetch,
                                           f"epoch {epoch}, batch {batch_idx}")

@@ -203,6 +203,46 @@ def augment_whole_batch(x, noise_sigma, mask_fraction, shift_max, image_shape, r
     return np.clip(out, 0.0, 1.0).reshape(np.shape(x))
 
 
+def shift_batch_grouped(x, shift_max, image_shape, rng):
+    """Each image row shifted by its own (dy, dx) in [-s, s]^2 with zero
+    fill, drawn as one (b, 2) ``integers`` call; rows grouped by offset and
+    each group moved by one slice assignment.  Holds only for
+    shift_max < min(image_shape)."""
+    rows, cols = image_shape
+    s = shift_max
+    shifts = rng.integers(-s, s + 1, size=(x.shape[0], 2))
+    imgs = x.reshape(-1, rows, cols)
+    shifted = np.zeros_like(imgs)
+    offsets, group = np.unique(shifts, axis=0, return_inverse=True)
+    for g, (dy, dx) in enumerate(offsets):
+        members = np.flatnonzero(group == g)
+        src_y = slice(max(0, -dy), rows - max(0, dy))
+        src_x = slice(max(0, -dx), cols - max(0, dx))
+        dst_y = slice(max(0, dy), rows - max(0, -dy))
+        dst_x = slice(max(0, dx), cols - max(0, -dx))
+        shifted[members, dst_y, dst_x] = imgs[members, src_y, src_x]
+    return shifted.reshape(x.shape)
+
+
+def adam_whole_arrays(params, grads, m, v, t, lr, weight_decay):
+    """One Adam step as whole-array expressions over dicts of arrays:
+    (params, m, v), each new.  Betas 0.9 and 0.999, eps 1e-8 outside the
+    square root, weight decay added to the gradient first."""
+    c1 = 1.0 - 0.9 ** t
+    c2 = 1.0 - 0.999 ** t
+    out = ({}, {}, {})
+    for name in params:
+        g = grads[name]
+        if weight_decay != 0.0:
+            g = g + weight_decay * params[name]
+        new_m = 0.9 * m[name] + (1.0 - 0.9) * g
+        new_v = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
+        new = params[name] - lr * (new_m / c1) / (np.sqrt(new_v / c2) + 1e-8)
+        for store, value in zip(out, (new, new_m, new_v)):
+            store[name] = value
+    return out
+
+
 def pattern_images_loop(n, num_classes, side, rng, max_shift=8, contrast_range=(0.5, 1.0),
                         noise=0.05):
     """The pattern-image features drawn and finished one image at a time:

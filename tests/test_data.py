@@ -1,4 +1,5 @@
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from curvalign.data import (
     AugmentationPolicy,
     BatchPlan,
     Dataset,
+    _shift_batch,
     augment_view,
     batches,
     load_idx,
@@ -29,7 +31,7 @@ from curvalign.errors import (
     ShapeMismatchError,
     TruncatedFileError,
 )
-from oracles import augment_whole_batch, pattern_images_loop
+from oracles import augment_whole_batch, pattern_images_loop, shift_batch_grouped
 
 
 def _write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, image_magic=2051, label_magic=2049):
@@ -354,6 +356,46 @@ def test_augment_batch_shift_matches_a_zero_fill_shift_per_row():
         assert len(match) == 1
         seen.add(match[0])
     assert seen == set(offsets)  # every offset group in [-s, s]^2 was exercised
+
+
+@pytest.mark.parametrize("shape,rows,s", [
+    ((50, 60), (6, 10), 3),     # not square
+    ((30, 16), (4, 4), 5),      # shifts reach past the side
+    ((64,), (8, 8), 2),         # one row passed as (d,)
+    ((256, 784), (28, 28), 2),  # the criterion-7 batch
+], ids=["6x10", "past-the-side", "one-row", "criterion-7"])
+def test_padded_window_shift_equals_the_whole_batch_oracle(shape, rows, s):
+    x = np.random.default_rng(s).uniform(0.1, 1.0, size=shape)
+    policy = AugmentationPolicy(0.0, 0.0, s, image_shape=rows)
+    got = augment_view(x, policy, stream(10, "shift", s))
+    assert np.array_equal(got, augment_whole_batch(x, 0.0, 0.0, s, rows, stream(10, "shift", s)))
+    if s >= min(rows):
+        assert (np.atleast_2d(got) == 0.0).all(axis=1).any()  # some row slid out whole
+    if shape[0] == 256:
+        assert np.array_equal(got, shift_batch_grouped(x, s, rows, stream(10, "shift", s)))
+
+
+def test_shift_makes_as_many_numpy_calls_for_one_offset_as_for_25():
+    class Drawn:  # a generator whose (b, 2) integers draw is the given offsets
+        def __init__(self, shifts):
+            self.shifts = np.asarray(shifts)
+
+        def integers(self, low, high, size):
+            assert (low, high, size) == (-2, 3, self.shifts.shape)
+            return self.shifts
+
+    def c_calls(shifts):
+        x = np.random.default_rng(0).uniform(size=(25, 784))
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(arg) if event == "c_call" else None)
+        try:
+            _shift_batch(x, AugmentationPolicy(0.0, 0.0, 2, image_shape=(28, 28)), Drawn(shifts))
+        finally:
+            sys.setprofile(None)
+        return len(calls)
+
+    every = [(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)]
+    assert c_calls([(1, -2)] * 25) == c_calls(every)
 
 
 def test_augment_one_row_batch_equals_row_call():

@@ -1,5 +1,6 @@
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -40,6 +41,7 @@ from curvalign.trainer import (
     pretrain,
     top1_accuracy,
 )
+from oracles import adam_whole_arrays
 
 SMALL_ARCH = Architecture(16, (32, 16), (16, 8))
 
@@ -118,6 +120,43 @@ def test_adam_deterministic_and_weight_decay():
 
     with pytest.raises(ShapeMismatchError):
         adam_step(params, {"enc0": (np.zeros((3, 3)), np.zeros(2))}, state, 1e-3, 0.0)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_chunked_adam_equals_the_whole_array_expressions_bit_for_bit(weight_decay):
+    chunk = trainer._ADAM_CHUNK
+    rng = np.random.default_rng(4)
+    params = {
+        "small": (rng.normal(size=(3, 5)), rng.normal(size=7)),    # under one chunk
+        "one": (rng.normal(size=(256, chunk // 256)), np.zeros(1)),  # exactly one chunk
+        "enc0": (rng.normal(size=(784, 256)), rng.normal(size=256)),  # 3 chunks + 4096
+    }
+    assert 784 * 256 == 3 * chunk + 4096
+    state = init_adam_state(params)
+    flat = lambda tree: {f"{name}.{i}": a for name, pair in tree.items() for i, a in enumerate(pair)}
+    want, m, v = flat(params), flat(state.m), flat(state.v)
+    for t in range(1, 6):
+        grads = {name: tuple(rng.normal(size=a.shape) for a in pair) for name, pair in params.items()}
+        params, state = adam_step(params, grads, state, 1e-3, weight_decay)
+        want, m, v = adam_whole_arrays(want, flat(grads), m, v, t, 1e-3, weight_decay)
+        for got, expected in ((params, want), (state.m, m), (state.v, v)):
+            assert all(np.array_equal(a, expected[key]) for key, a in flat(got).items())
+    assert state.t == 5
+
+
+def test_adam_step_holds_its_outputs_and_two_chunk_buffers_only():
+    arch = Architecture(784, (256, 128), (128, 32))  # the desk architecture
+    params = init_params(arch, 0)
+    grads = {name: (np.full_like(w, 0.1), np.full_like(b, 0.1)) for name, (w, b) in params.items()}
+    state = adam_step(params, grads, init_adam_state(params), 1e-3, 1e-4)[1]
+    outputs = 3 * sum(w.nbytes + b.nbytes for w, b in params.values())
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state, 1e-3, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= outputs + 2 * trainer._ADAM_CHUNK * 8 + (1 << 20)
 
 
 def test_top1_accuracy_examples():
@@ -211,6 +250,25 @@ def test_non_finite_parameter_is_reported_with_its_step(monkeypatch):
     ds = make_blobs(128, 4, 16, 0.05, seed=6)
     with pytest.raises(NonFiniteError, match=r"^epoch 0, batch 1: non-finite value produced by leaf"):
         pretrain(_small_config(epochs=1), ds)
+
+
+def test_non_finite_parameter_on_a_worker_is_named_by_the_scan_and_no_thread_survives(monkeypatch):
+    # view 1's forward runs on the worker before view 0's lane scans the
+    # NaN parameter; the scan's error is raised, and lane 1 is not replayed
+    monkeypatch.setattr(trainer, "_LANE_MACS", 0)
+
+    def nan_weight(params, grads, state, lr, weight_decay):
+        params, state = adam_step(params, grads, state, lr, weight_decay)
+        params["enc0"][0][0, 0] = np.nan
+        return params, state
+
+    monkeypatch.setattr(trainer, "adam_step", nan_weight)
+    ds = make_blobs(128, 4, 16, 0.05, seed=6)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteError) as info:
+        pretrain(_small_config(epochs=1), ds)
+    assert str(info.value) == "epoch 0, batch 1: non-finite value produced by leaf"
+    assert threading.active_count() == before
 
 
 def test_constant_embedding_column_at_zero_eps_names_standardize(monkeypatch):
