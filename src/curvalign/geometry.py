@@ -23,7 +23,7 @@ from .numerics import (
     Graph,
     Var,
     curvature_rows,
-    rbf_kernel_from_sq,
+    pair_matrix,
     sq_distance_matrix,
 )
 
@@ -129,10 +129,8 @@ def bundle_batch(edges: np.ndarray, gamma: Optional[float] = None):
     of the centred points, or with ``gamma`` rbf on the kernel matrix."""
     edges = np.asarray(edges, dtype=np.float64)
     points = np.concatenate([np.zeros((1, edges.shape[1])), edges])
-    sq, neighbors = sq_distance_matrix(points), np.arange(1, len(points))[None]
-    if gamma is None:
-        return sq, neighbors, "cosine"
-    return rbf_kernel_from_sq(sq, gamma), neighbors, "rbf"
+    score = "cosine" if gamma is None else "rbf"
+    return pair_matrix(points, score, gamma), np.arange(1, len(points))[None], score
 
 
 def edge_bundle(points: np.ndarray, neighbors: NeighborGraph, row: int) -> EdgeBundle:

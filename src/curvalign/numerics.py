@@ -11,20 +11,17 @@ another graph computed for some of this graph's nodes: a training step
 differentiates its loss on a joint graph whose leaves are each view's
 embedding, then walks each view's MLP graph from that leaf's adjoint, and
 ``add_grads`` sums the two views' shares of every parameter's gradient.
-
-Each node records at build time whether it depends on a parameter leaf.
-Only such a node can carry gradient, so only its forward rule keeps saved
-residuals: what its adjoint would otherwise recompute (the curvature pair
-matrix).  Eager evaluation saves nothing.
+Each node records at build time whether it depends on a parameter leaf;
+only such a node can carry gradient.
 
 Finiteness is checked at a graph's boundary: every leaf as it is built
 (but one whose value the caller has scanned or checks elsewhere), the
 differentiated output and every gradient in ``reverse_grad``, or every
-summed gradient in ``add_grads``.  The
-nodes in between are checked as they are built only when they depend on
-no parameter, which covers every node of an eager graph; a caller that
-meets a NonFiniteError replays the tape with ``forward_values``, which
-checks every primitive and names the first one that made a NaN or inf.
+summed gradient in ``add_grads``.  The nodes in between are checked as they
+are built only when they depend on no parameter, which covers every node of
+an eager graph; a caller that meets a NonFiniteError replays the tape with
+``forward_values``, which checks every primitive and names the first one
+that made a NaN or inf.
 
 Only the primitives below exist; there is no general broadcasting.  Shapes
 are scalars ``()``, vectors ``(n,)`` and matrices ``(m, n)``.  Two fused
@@ -34,14 +31,15 @@ bias vector added to every row), and ``standardize`` is (x - mean) /
 unfused sub, std_rows, add and div composition in their order, so a
 single-consumer input gets that composition's gradient bit for bit.
 ``model``'s eager passes run the same rules through ``eval_primitive``.
-Nothing in the package calls ``broadcast_row``, ``mean_rows``,
-``std_rows``, ``gather_rows``, ``sqrt`` or ``exp``; they stay registered
-because the benchmark's per-layer metric list names every primitive.
+Nothing in the package calls ``broadcast_row``, ``mean_rows``, ``std_rows``,
+``gather_rows``, ``sqrt``, ``exp`` or ``div``; they stay registered because
+the benchmark's per-layer metric list names every primitive.
 
 ``curvature`` maps embeddings (b, d) to one kNN curvature score per row
 (b, 1).  Both score kinds read one (b, b) pair matrix: the squared
 distances D^2 of the centred points, which every kNN selects on, or the rbf
-kernel matrix K = exp(-gamma D^2); the kNN lends it, else it is built here.
+kernel matrix K = exp(-gamma D^2).  ``pair_matrix`` owns it for the forward,
+the adjoint and a bundle: the kNN's lent matrix, else one built from z.
 Every term is symmetric in its pair, so ``pair_terms`` gathers each of a
 row block's k(k - 1)/2 unordered neighbor pairs once, with one flat
 ``take`` (cosines from D^2, or K), ``curvature_rows`` sums them for batches
@@ -345,13 +343,20 @@ def curvature_rows(matrix: Array, neighbors: Array, score: str) -> Array:
     return out
 
 
-def _fwd_curvature(z, *, neighbors, score, gamma=None, pairs=None, save=False):
-    """Scores (b, 1) and, with ``save``, the pair matrix the adjoint reads.
-
-    ``pairs`` is a kNN's (points, pair matrix): the matrix is used only when
+def pair_matrix(z: Array, score: str, gamma=None, pairs=None) -> Array:
+    """The (b, b) matrix the curvature scores of ``z`` read: D^2 for cosine,
+    K for rbf.  ``pairs`` is a kNN's (points, pair matrix), lent only when
     ``points`` is the very array ``z``, so a re-evaluation on other inputs
-    (``forward_values``, finite differences) builds its own.
-    """
+    (``forward_values``, finite differences) builds its own."""
+    if pairs is not None and pairs[0] is z:
+        return pairs[1]
+    if score == "rbf":
+        return rbf_kernel_matrix(z, gamma)
+    return sq_distance_matrix(z)
+
+
+def _fwd_curvature(z, *, neighbors, score, gamma=None, pairs=None):
+    """Scores (b, 1) of each row against its ``neighbors`` rows."""
     _require_2d(z, "curvature")
     nb = np.asarray(neighbors, dtype=np.int64)
     if nb.ndim != 2 or nb.shape[0] != z.shape[0]:
@@ -360,13 +365,7 @@ def _fwd_curvature(z, *, neighbors, score, gamma=None, pairs=None, save=False):
         raise ShapeMismatchError(f"curvature: neighbor index out of range for {z.shape[0]} rows")
     if score not in ("cosine", "rbf"):
         raise ValueError(f"unknown curvature score {score!r}")
-    if pairs is not None and pairs[0] is z:
-        matrix = pairs[1]
-    elif score == "rbf":
-        matrix = rbf_kernel_matrix(z, gamma)
-    else:
-        matrix = sq_distance_matrix(z)
-    return curvature_rows(matrix, nb, score)[:, None], matrix if save else None
+    return curvature_rows(pair_matrix(z, score, gamma, pairs), nb, score)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +373,7 @@ def _fwd_curvature(z, *, neighbors, score, gamma=None, pairs=None, save=False):
 # ---------------------------------------------------------------------------
 # one rule per input maps (input values, cached output, upstream adjoint,
 # aux) to that input's adjoint; reverse_grad calls only the rules of inputs
-# that depend on a parameter leaf, with the forward's saved residuals, if
-# any, as aux["saved"]
+# that depend on a parameter leaf
 
 def _segment_sum(values: Array, rows, n: int) -> Array:
     """Rows of ``values`` (m, d) summed into n rows by index, each output
@@ -415,8 +413,7 @@ def _bwd_standardize(ins, out, g, aux):
 def _bwd_curvature(ins, out, g, aux):
     """Closed-form adjoint of the curvature scores.
 
-    It reads the forward's saved pair matrix (``aux["saved"]``, which
-    ``reverse_grad`` passes), or runs the forward again to get it.  Every
+    It reads the pair matrix the forward read, from ``pair_matrix``.  Every
     entry P_pq is a function of ||x_p - x_q||^2, so the scores' derivatives
     sum into one symmetric pair weight W (the diagonal carries none), and
     d/dx = scale (W x - rowsum(W) o x) on the centred x.  ``np.add.at`` adds
@@ -430,7 +427,7 @@ def _bwd_curvature(ins, out, g, aux):
     """
     z = ins[0]
     nb = np.asarray(aux["neighbors"], dtype=np.int64)
-    matrix = aux["saved"] if "saved" in aux else _fwd_curvature(z, save=True, **aux)[1]
+    matrix = pair_matrix(z, aux["score"], aux.get("gamma"), aux.get("pairs"))
     b, k = nb.shape
     w = np.zeros(b * b)
     rbf = aux["score"] == "rbf"
@@ -510,34 +507,24 @@ _BACKWARD: dict[str, tuple[Callable, ...]] = {
 }
 
 PRIMITIVES = tuple(sorted(_FORWARD))
-# forward rules that take ``save`` and return (value, saved residuals)
-_SAVING = frozenset({"curvature"})
 
 
-def eval_primitive(kind: str, inputs: list[Array], *, save: bool = False,
-                   check: bool = True, **aux):
+def eval_primitive(kind: str, inputs: list[Array], *, check: bool = True, **aux) -> Array:
     """Evaluate one primitive on concrete arrays.
 
     Pure: inputs are never mutated.  Raises ShapeMismatchError for
     incompatible extents and, with ``check`` (the default), NonFiniteError
     if the result contains NaN/Inf; ``Graph.apply`` passes ``check=False``
     for a parameter-dependent node, whose graph checks its boundary instead.
-    With ``save`` it returns (value, saved): the residuals the primitive's
-    adjoint reads instead of recomputing them, None for a primitive that
-    saves nothing.
     """
     if kind not in _FORWARD:
         raise KeyError(f"unknown primitive {kind!r}")
     vals = [_as_f64(x) for x in inputs]
     with np.errstate(all="ignore"):  # finiteness is checked explicitly below
-        if kind in _SAVING:
-            out, saved = _FORWARD[kind](*vals, save=save, **aux)
-        else:
-            out, saved = _FORWARD[kind](*vals, **aux), None
-    out = np.asarray(out, dtype=np.float64)
+        out = np.asarray(_FORWARD[kind](*vals, **aux), dtype=np.float64)
     if check:
         _require_finite(out, f"primitive {kind!r}")
-    return (out, saved) if save else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +540,6 @@ class Node:
     param: bool = False
     name: Optional[str] = None
     active: bool = False         # depends on a parameter leaf, set at build time
-    saved: object = None         # the forward's residuals, kept on active nodes only
 
 
 class Var:
@@ -663,19 +649,17 @@ class Graph:
     def apply(self, op: str, *args: Var, **aux) -> Var:
         """Evaluate ``op`` on the inputs' cached values and append its node.
 
-        A node that depends on a parameter leaf keeps its forward's saved
-        residuals, and its value is not scanned for NaN/inf: ``reverse_grad``
-        checks the output and the gradients, and ``forward_values`` names
-        the op that made a non-finite value.  A node that depends on no
-        parameter, every node of an eager graph, raises NonFiniteError at
-        the op itself.
+        A node that depends on a parameter leaf is not scanned for NaN/inf:
+        ``reverse_grad`` checks the output and the gradients, and
+        ``forward_values`` names the op that made a non-finite value.  A node
+        that depends on no parameter, every node of an eager graph, raises
+        NonFiniteError at the op itself.
         """
         ids = tuple(a.idx for a in args)
         vals = [self.nodes[i].value for i in ids]
         active = any(self.nodes[i].active for i in ids)
-        result = eval_primitive(op, vals, save=active, check=not active, **aux)
-        out, saved = result if active else (result, None)
-        self.nodes.append(Node(op, ids, aux, out, active=active, saved=saved))
+        out = eval_primitive(op, vals, check=not active, **aux)
+        self.nodes.append(Node(op, ids, aux, out, active=active))
         return Var(self, len(self.nodes) - 1)
 
     def param_leaves(self) -> list[int]:
@@ -684,12 +668,11 @@ class Graph:
     def forward_values(self, overrides: Optional[dict[int, Array]] = None) -> list[Array]:
         """Re-evaluate the whole tape, optionally overriding leaf values.
 
-        Does not touch the cached values or the saved residuals, and
-        recomputes every node from its re-evaluated inputs, checking each
-        one: the first primitive that makes a NaN or inf raises
-        NonFiniteError naming it.  Used by finite differencing, by the
-        cache-consistency tests and to locate a non-finite value that the
-        graph's boundary checks met.
+        Does not touch the cached values, and recomputes every node from its
+        re-evaluated inputs, checking each one: the first primitive that
+        makes a NaN or inf raises NonFiniteError naming it.  Used by finite
+        differencing, by the cache-consistency tests and to locate a
+        non-finite value that the graph's boundary checks met.
         """
         overrides = overrides or {}
         vals: list[Array] = []
@@ -724,10 +707,9 @@ def _reverse_walk(graph: Graph, seeds: dict[int, Array]) -> dict[int, Array]:
         if g is None:
             continue
         ins = [nodes[j].value for j in node.inputs]
-        aux = node.aux if node.saved is None else {**node.aux, "saved": node.saved}
         for j, rule in zip(node.inputs, _BACKWARD[node.op]):
             if nodes[j].active:
-                contrib = rule(ins, node.value, g, aux)
+                contrib = rule(ins, node.value, g, node.aux)
                 adjoints[j] = adjoints[j] + contrib if j in adjoints else contrib
     return {i: adjoints[i] if i in adjoints else np.zeros_like(nodes[i].value)
             for i in graph.param_leaves()}
@@ -747,8 +729,7 @@ def reverse_grad(graph: Graph, output: Var) -> dict[int, Array]:
     parameter leaf get adjoints, read from each node's ``active`` flag that
     ``Graph.apply`` set at build time: the backward rules of constants and
     data never run, and no adjoint is computed for an input that depends on
-    no parameter.  A rule whose forward saved residuals gets them as
-    ``aux["saved"]``.  Accumulation order is fixed by node index, so
+    no parameter.  Accumulation order is fixed by node index, so
     repeated calls are bit-identical.
 
     This is where a parameter-dependent graph's finiteness is checked: the

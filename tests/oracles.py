@@ -271,3 +271,41 @@ def pattern_images_loop(n, num_classes, side, rng, max_shift=8, contrast_range=(
             img = img + rng.normal(0.0, noise, size=img.shape)
         feats[i] = np.clip(img, 0.0, 1.0).reshape(-1)
     return feats
+
+
+def _chord_direction(theta):
+    """The direction of the chord from a point of a circle to the point at
+    angle offset ``theta`` in (-pi, pi], relative to the radius through the
+    first point: sign(theta) pi/2 + theta/2."""
+    return math.copysign(math.pi / 2.0, theta) + theta / 2.0
+
+
+def _pair_cosines(offsets):
+    """Sum over unordered pairs a < b of cos(phi_a - phi_b), phi the chord
+    directions of the given angle offsets."""
+    phis = [_chord_direction(theta) for theta in offsets]
+    return math.fsum(math.cos(phis[a] - phis[b])
+                     for a in range(len(phis)) for b in range(a + 1, len(phis)))
+
+
+def circle_score(n, k):
+    """The cosine curvature score of every point of n evenly spaced points
+    on a circle, for even k = 2m: its neighbors sit at angle offsets
+    +-j 2 pi / n, j = 1..m, so the score is a function of n and k alone,
+    whatever the radius, rotation or translation."""
+    if k % 2:
+        raise ValueError("the closed form needs an even k; odd k breaks a tie by index")
+    delta = 2.0 * math.pi / n
+    return _pair_cosines([s * j * delta for j in range(1, k // 2 + 1) for s in (1, -1)])
+
+
+def circle_scores_at_neighbors(angles, neighbors):
+    """The cosine curvature score of every row of points on one circle at
+    ``angles``, against the given neighbor table: each neighbor's angle
+    offset, wrapped into (-pi, pi], fixes its chord's direction."""
+    scores = []
+    for i, row in enumerate(np.asarray(neighbors)):
+        offsets = [math.remainder(float(angles[j]) - float(angles[i]), 2.0 * math.pi)
+                   for j in row]
+        scores.append(_pair_cosines(offsets))
+    return np.asarray(scores)

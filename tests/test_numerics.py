@@ -424,15 +424,17 @@ def test_reverse_grad_skips_inputs_without_a_parameter(monkeypatch, metric):
         assert np.array_equal(pruned[i], reference[i]), g.nodes[i].name
 
 
-# -- saved residuals: kept on nodes that depend on a parameter only --------
+# -- the curvature adjoint reads the pair matrix its forward read ----------
 
 @pytest.mark.parametrize("lend", [False, True], ids=["case", "from-knn"])
 @pytest.mark.parametrize("name", ["curvature:cosine", "curvature:rbf"])
-def test_curvature_residuals_are_saved_and_pass_finite_differences(monkeypatch, name, lend):
+def test_curvature_adjoint_reads_the_lent_pair_matrix(monkeypatch, name, lend):
+    # a kNN's lent matrix serves the adjoint too, and both variants pass
+    # finite differences and replay through forward_values
     from curvalign.geometry import curvature_scores_graph, knn_metric
 
-    def forward_again(*args, **kwargs):
-        raise AssertionError("the adjoint ran the forward again")
+    def no_second_matrix(*args, **kwargs):
+        raise AssertionError("the adjoint built a pair matrix the kNN had lent")
 
     for trial in range(3):
         rng = np.random.default_rng([zlib.crc32(name.encode()), trial, 1])
@@ -446,11 +448,13 @@ def test_curvature_residuals_are_saved_and_pass_finite_differences(monkeypatch, 
         else:
             scores = dict(CASES)[name](g, rng)
         node = g.nodes[scores.idx]
-        assert node.active and node.saved is not None
+        assert node.active
         out = _scalarize(g, rng, scores)
-        with monkeypatch.context() as patch:  # the adjoint reads the saved residuals
-            patch.setattr(numerics, "_fwd_curvature", forward_again)
-            reverse_grad(g, out)
+        if lend:
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "sq_distance_matrix", no_second_matrix)
+                patch.setattr(numerics, "rbf_kernel_matrix", no_second_matrix)
+                reverse_grad(g, out)
         report = finite_diff_check(g, out, step=1e-5, tol=TOLERANCE[name])
         assert report.passed, f"{name} trial {trial}: {report.per_leaf}"
 
@@ -492,9 +496,11 @@ def test_rbf_training_step_builds_one_distance_matrix_per_view(monkeypatch):
     assert built == [(32, 4), (32, 4)]
 
 
-def test_euclidean_training_step_builds_one_distance_matrix_per_view(monkeypatch):
-    # the Euclidean kNN's D^2 serves the selection, the cosine scores and
-    # their adjoint: no second matrix anywhere in the step
+@pytest.mark.parametrize("metric", ["euclidean", "linear"])
+def test_euclidean_training_step_builds_one_distance_matrix_per_view(monkeypatch, metric):
+    # the kNN's D^2 (Euclidean, or the linear kernel's through knn_rkhs)
+    # serves the selection, the cosine scores and their adjoint: no second
+    # matrix anywhere in the step
     from curvalign import geometry, rkhs
     from curvalign.data import AugmentationPolicy, make_blobs
     from curvalign.model import Architecture
@@ -512,7 +518,7 @@ def test_euclidean_training_step_builds_one_distance_matrix_per_view(monkeypatch
         monkeypatch.setattr(module, "sq_distance_matrix", counting(module.sq_distance_matrix))
     steps = []
     config = TrainConfig(architecture=Architecture(8, (16,), (16, 4)), epochs=1,
-                         batch_size=32, k=5, metric="euclidean", seed=3,
+                         batch_size=32, k=5, metric=metric, seed=3,
                          augmentation=AugmentationPolicy(0.05, 0.1, 0))
     pretrain(config, make_blobs(32, 2, 8, 0.1, seed=3), on_step=lambda *a: steps.append(a))
     assert len(steps) == 1
@@ -760,7 +766,7 @@ def _bincount_rbf_adjoint(z, nb, gamma, g, kernel):
 
 
 def _rbf_adjoint(z, nb, gamma, g, kernel):
-    aux = {"neighbors": nb, "score": "rbf", "gamma": gamma, "saved": kernel}
+    aux = {"neighbors": nb, "score": "rbf", "gamma": gamma, "pairs": (z, kernel)}
     return numerics._BACKWARD["curvature"][0]([z], None, g, aux)
 
 
