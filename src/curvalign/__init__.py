@@ -25,11 +25,6 @@ from .geometry import (
 from .losses import (
     LossBreakdown,
     Weights,
-    barlow_loss,
-    cross_correlation,
-    curvature_loss,
-    curvature_matrix,
-    curvature_penalty,
     standardize_features,
     standardize_scores,
     total_loss,

@@ -177,7 +177,8 @@ def batch_curvature(points: np.ndarray, k: int, metric="euclidean") -> np.ndarra
 
 def graph_curvature(graph: NeighborGraph) -> np.ndarray:
     """Curvature score of every row of a kNN's own ``points`` under its metric."""
-    return curvature_scores_graph(Graph().leaf(graph.points), graph, graph.metric).value[:, 0]
+    points = Graph().leaf(graph.points, check=False)  # centred named a non-finite row
+    return curvature_scores_graph(points, graph, graph.metric).value[:, 0]
 
 
 def curvature_scores_graph(z: Var, neighbors: NeighborGraph, metric="euclidean") -> Var:

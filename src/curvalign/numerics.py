@@ -31,9 +31,12 @@ bias vector added to every row), and ``standardize`` is (x - mean) /
 unfused sub, std_rows, add and div composition in their order, so a
 single-consumer input gets that composition's gradient bit for bit.
 ``model``'s eager passes run the same rules through ``eval_primitive``.
-Nothing in the package calls ``broadcast_row``, ``mean_rows``, ``std_rows``,
-``gather_rows``, ``sqrt``, ``exp`` or ``div``; they stay registered because
-the benchmark's per-layer metric list names every primitive.
+``barlow`` and ``score_penalty`` are the loss head's two identity-target
+penalties in closed form, with adjoints by hand.  Nothing in the package
+calls ``broadcast_row``, ``div``, ``exp``, ``gather_rows``, ``mean_rows``,
+``mul``, ``smul``, ``sqrt``, ``square``, ``std_rows``, ``sub`` or ``sum``;
+they stay registered because the benchmark's per-layer metric list names
+every primitive (tests build M = c~ c~'^T / b by ``matmul``, ``transpose``).
 
 ``curvature`` maps embeddings (b, d) to one kNN curvature score per row
 (b, 1).  Both score kinds read one (b, b) pair matrix: the squared
@@ -369,6 +372,48 @@ def _fwd_curvature(z, *, neighbors, score, gamma=None, pairs=None):
 
 
 # ---------------------------------------------------------------------------
+# the loss head: identity-target penalties in closed form
+# ---------------------------------------------------------------------------
+
+def _cross_correlation(za: Array, zb: Array) -> Array:
+    """C = za^T zb / b, the Barlow Twins matrix, a new (d, d) array."""
+    if za.ndim != 2 or za.shape != zb.shape:
+        raise ShapeMismatchError(f"barlow: {za.shape} vs {zb.shape}")
+    return za.T @ zb / za.shape[0]
+
+
+def barlow_parts(za: Array, zb: Array) -> tuple[float, float]:
+    """sum((C_ii - 1)^2) and sum(C_ij^2, i != j) for C = za^T zb / b."""
+    c = _cross_correlation(za, zb)
+    diag = np.diagonal(c) - 1.0
+    c *= c
+    np.fill_diagonal(c, 0.0)
+    return float(diag @ diag), float(c.sum())
+
+
+def _fwd_barlow(za, zb, *, lambda_emb):
+    diag, off = barlow_parts(za, zb)
+    return diag + off * lambda_emb
+
+
+def score_penalty_parts(ct: Array, ctp: Array) -> tuple[float, float]:
+    """The identity-target penalty's parts on M = ct ctp^T / b in O(b): M's
+    diagonal is p / b, p = ct o ctp, and its squares sum to ||ct||^2 ||ctp||^2
+    / b^2, so sum((p_i / b - 1)^2) and (||ct||^2 ||ctp||^2 - ||p||^2) / b^2."""
+    _same_shape(ct, ctp, "score_penalty")
+    ct, ctp = ct.ravel(), ctp.ravel()
+    b = ct.size
+    p = ct * ctp
+    diag = p / b - 1.0
+    return float(diag @ diag), float(((ct @ ct) * (ctp @ ctp) - p @ p) / (b * b))
+
+
+def _fwd_score_penalty(ct, ctp, *, lambda_curv, alpha_curv):
+    diag, off = score_penalty_parts(ct, ctp)
+    return alpha_curv * (diag + off * lambda_curv)
+
+
+# ---------------------------------------------------------------------------
 # primitive backward rules
 # ---------------------------------------------------------------------------
 # one rule per input maps (input values, cached output, upstream adjoint,
@@ -457,6 +502,26 @@ def _bwd_curvature(ins, out, g, aux):
     return adj
 
 
+def _barlow_weight(ins, g, aux) -> Array:
+    """W = g dL/dC / b, the adjoints being zb W^T and za W: dL/dC is 2 (C - I)
+    on the diagonal and 2 lambda_emb C off it."""
+    c = _cross_correlation(*ins)
+    w = c * (2.0 * aux["lambda_emb"])
+    np.fill_diagonal(w, 2.0 * (np.diagonal(c) - 1.0))
+    w *= g / ins[0].shape[0]
+    return w
+
+
+def _score_penalty_adjoint(x: Array, y: Array, g, aux) -> Array:
+    """``score_penalty``'s adjoint at column x, y the other (it is symmetric):
+    2 alpha ((p / b - 1) y / b + lambda (x ||y||^2 - p y) / b^2), p = x o y."""
+    b = x.size
+    p = x * y
+    adj = (p / b - 1.0) * y / b + aux["lambda_curv"] * (x * np.sum(y * y) - p * y) / (b * b)
+    adj *= 2.0 * aux["alpha_curv"] * g
+    return adj
+
+
 _FORWARD: dict[str, Callable] = {
     "matmul": _fwd_matmul,
     "affine": _fwd_affine,
@@ -477,6 +542,8 @@ _FORWARD: dict[str, Callable] = {
     "gather_rows": _fwd_gather_rows,
     "broadcast_row": _fwd_broadcast_row,
     "curvature": _fwd_curvature,
+    "barlow": _fwd_barlow,
+    "score_penalty": _fwd_score_penalty,
 }
 
 _MATMUL_RULES = (lambda ins, out, g, aux: g @ ins[1].T, lambda ins, out, g, aux: ins[0].T @ g)
@@ -504,6 +571,10 @@ _BACKWARD: dict[str, tuple[Callable, ...]] = {
     "gather_rows": (lambda ins, out, g, aux: _segment_sum(g, aux["rows"], ins[0].shape[0]),),
     "broadcast_row": _ROW_SUM_RULE,
     "curvature": (_bwd_curvature,),
+    "barlow": (lambda ins, out, g, aux: ins[1] @ _barlow_weight(ins, g, aux).T,
+               lambda ins, out, g, aux: ins[0] @ _barlow_weight(ins, g, aux)),
+    "score_penalty": (lambda ins, out, g, aux: _score_penalty_adjoint(ins[0], ins[1], g, aux),
+                      lambda ins, out, g, aux: _score_penalty_adjoint(ins[1], ins[0], g, aux)),
 }
 
 PRIMITIVES = tuple(sorted(_FORWARD))

@@ -2,7 +2,10 @@
 
 Everything here is written with explicit loops and scalar math on purpose:
 these functions are the oracles the library is checked against, so they
-share no code with it.
+share no code with it.  The one exception is the loss-head composition at
+the end, which spells the two identity-target penalties out in the
+engine's generic primitives, so the closed-form ``barlow`` and
+``score_penalty`` nodes can be checked against it in value and gradient.
 """
 
 import math
@@ -309,3 +312,46 @@ def circle_scores_at_neighbors(angles, neighbors):
                    for j in row]
         scores.append(_pair_cosines(offsets))
     return np.asarray(scores)
+
+
+# -- the loss head as a composition of generic primitives --------------------
+
+def cross_correlation(za, zb):
+    """(1/b) za^T zb on the graph of the two Vars."""
+    return (za.T @ zb) * (1.0 / za.shape[0])
+
+
+def identity_penalty(m, off_weight):
+    """(total, diagonal part, off-diagonal part) Vars of sum((M_ii - 1)^2)
+    + w sum(M_ij^2, i != j), with the identity and its complement as
+    constant leaves."""
+    n = m.shape[0]
+    eye = m.graph.leaf(np.eye(n))
+    off_mask = m.graph.leaf(1.0 - np.eye(n))
+    diag_term = ((m * eye) - eye).square().sum()
+    off_term = (m * off_mask).square().sum()
+    return diag_term + off_term * off_weight, diag_term, off_term
+
+
+def curvature_matrix(ct, ctp):
+    """(1/b) ct ctp^T of two score columns: rank one, a (b, b) node."""
+    return (ct @ ctp.T) * (1.0 / ct.shape[0])
+
+
+def composed_total_loss(z, zp, k, metric, weights, eps):
+    """``losses.total_loss``'s objective with both penalties composed entry
+    by entry: the Barlow term on the cross-correlation matrix and the score
+    term on the (b, b) curvature matrix.  Returns (total, emb_diag,
+    emb_offdiag, curv_diag, curv_offdiag) as Vars of z's graph."""
+    from curvalign.geometry import curvature_scores_graph, knn_metric
+    from curvalign.losses import standardize_features, standardize_scores
+
+    lambda_emb, lambda_curv, alpha_curv = weights
+    emb, emb_diag, emb_off = identity_penalty(
+        cross_correlation(standardize_features(z, eps), standardize_features(zp, eps)),
+        lambda_emb)
+    ct, ctp = (standardize_scores(curvature_scores_graph(v, nb, nb.metric), eps)
+               for v, nb in ((z, knn_metric(z.value, k, metric)),
+                             (zp, knn_metric(zp.value, k, metric))))
+    curv, curv_diag, curv_off = identity_penalty(curvature_matrix(ct, ctp), lambda_curv)
+    return emb + curv * alpha_curv, emb_diag, emb_off, curv_diag, curv_off

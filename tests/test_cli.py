@@ -332,6 +332,8 @@ EXIT_CASES = [
     ("curvature", SMALL_PATTERNS + "patterns_shift = -1", 12, "patterns_shift"),
     ("curvature", SMALL_PATTERNS + "patterns_noise = -1", 12, "patterns_noise must be >= 0"),
     ("curvature", "dataset = ring\nring_noise = -1", 12, "ring_noise must be >= 0"),
+    # random angles on one circle leave neighbours closer than the short-edge rule allows
+    ("curvature", "dataset = ring\nring_noise = 0", 43, "squared length <= 1e-08"),
     ("curvature", "blobs_spread = -1", 12, "blobs_spread must be >= 0 and finite, got -1.0"),
     ("curvature", SMALL_PATTERNS + "patterns_contrast_max = 0.25", 12, "patterns_contrast_min"),
     ("curvature", SMALL_PATTERNS + "patterns_contrast_max = inf", 12, "must be finite"),

@@ -8,20 +8,31 @@ from curvalign.geometry import batch_curvature
 from curvalign.losses import (
     LossBreakdown,
     Weights,
-    barlow_loss,
-    cross_correlation,
-    curvature_loss,
-    curvature_matrix,
-    curvature_penalty,
     standardize_features,
     standardize_scores,
     total_loss,
     total_loss_arrays,
 )
-from curvalign.numerics import Graph, finite_diff_check, reverse_grad
+from curvalign.numerics import (
+    Graph,
+    barlow_parts,
+    eval_primitive,
+    finite_diff_check,
+    reverse_grad,
+    score_penalty_parts,
+)
 from curvalign.rkhs import KernelSpec
 
-from oracles import reference_total_loss
+from oracles import (
+    composed_total_loss,
+    curvature_matrix,
+    identity_penalty,
+    reference_total_loss,
+)
+
+# the rows of a 4 x 4 Hadamard matrix: orthogonal, each of squared norm 4
+H = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+              [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
 
 
 def _var(arr, g=None):
@@ -49,49 +60,48 @@ def test_standardize_batch_too_small():
 
 
 def test_cross_correlation_examples():
-    g = Graph()
-    z = g.leaf(np.array([[-1.0], [1.0]]))
-    assert np.allclose(cross_correlation(z, z).value, [[1.0]], atol=1e-15)
-
-    g = Graph()
-    za = g.leaf(np.array([[-1.0], [1.0]]))
-    zb = g.leaf(np.array([[1.0], [-1.0]]))
-    assert np.allclose(cross_correlation(za, zb).value, [[-1.0]], atol=1e-15)
+    # the barlow primitive's C = za^T zb / b, read through its parts
+    z = np.array([[-1.0], [1.0]])
+    assert barlow_parts(z, z) == (0.0, 0.0)  # C = [[1]]
+    assert barlow_parts(z, -z) == (4.0, 0.0)  # C = [[-1]]
 
     rng = np.random.default_rng(1)
     big = rng.normal(size=(10_000, 3))
     bigp = rng.normal(size=(10_000, 3))
     g = Graph()
-    c = cross_correlation(
-        standardize_features(g.leaf(big), 0.0), standardize_features(g.leaf(bigp), 0.0)
-    ).value
-    assert np.max(np.abs(c)) <= 0.05  # independent columns stay near zero
+    diag, off = barlow_parts(standardize_features(g.leaf(big), 0.0).value,
+                             standardize_features(g.leaf(bigp), 0.0).value)
+    assert diag >= 3 * 0.95 ** 2 and off <= 6 * 0.05 ** 2  # independent columns stay near zero
 
-    with pytest.raises(ShapeMismatchError):
-        g = Graph()
-        cross_correlation(g.leaf(np.ones((4, 2))), g.leaf(np.ones((5, 2))))
+    for bad in ([np.ones((4, 2)), np.ones((5, 2))], [np.ones(4), np.ones(4)]):
+        with pytest.raises(ShapeMismatchError, match="barlow"):
+            eval_primitive("barlow", bad, lambda_emb=1.0)
 
 
 def test_correlation_entries_bounded_for_standardized_inputs():
     rng = np.random.default_rng(12)
     for _ in range(20):
         g = Graph()
-        za = standardize_features(g.leaf(rng.normal(size=(16, 5))), eps=0.0)
-        zb = standardize_features(g.leaf(rng.normal(size=(16, 5))), eps=0.0)
-        c = cross_correlation(za, zb).value
+        za = standardize_features(g.leaf(rng.normal(size=(16, 5))), eps=0.0).value
+        zb = standardize_features(g.leaf(rng.normal(size=(16, 5))), eps=0.0).value
+        c = za.T @ zb / 16
         assert np.max(np.abs(c)) <= 1.0 + 1e-9
 
 
 def test_barlow_loss_examples():
-    total, diag, off = barlow_loss(_var(np.eye(2)), 1.0)
-    assert float(total.value) == 0.0
+    # za = H[:, 1:3] has orthogonal columns of squared norm b = 4, so C = I
+    za = H[:, 1:3]
+    assert eval_primitive("barlow", [za, za], lambda_emb=1.0) == 0.0
 
-    total, diag, off = barlow_loss(_var(np.zeros((2, 2))), 1.0)
-    assert float(total.value) == 2.0
-    assert float(diag.value) == 2.0 and float(off.value) == 0.0
+    zb = H[:, [3, 0]]  # orthogonal to both of za's columns: C = 0
+    assert float(eval_primitive("barlow", [za, zb], lambda_emb=1.0)) == 2.0
+    assert barlow_parts(za, zb) == (2.0, 0.0)
 
-    total, _, _ = barlow_loss(_var([[1.0, 0.5], [0.5, 1.0]]), 1.0)
-    assert float(total.value) == pytest.approx(0.5, abs=1e-15)
+    zb = za @ np.array([[1.0, 0.5], [0.5, 1.0]])  # C = [[1, 0.5], [0.5, 1]]
+    assert float(eval_primitive("barlow", [za, zb], lambda_emb=1.0)) == pytest.approx(
+        0.5, abs=1e-15)
+    assert float(eval_primitive("barlow", [za, zb], lambda_emb=0.3)) == pytest.approx(
+        0.15, abs=1e-15)
 
 
 def test_standardize_scores_examples():
@@ -109,6 +119,7 @@ def test_standardize_scores_examples():
 
 
 def test_curvature_matrix_examples():
+    # the rank-one M of the oracle composition, the matrix score_penalty never builds
     g = Graph()
     ct = g.leaf(np.array([[-1.0], [1.0]]))
     m = curvature_matrix(ct, ct).value
@@ -127,17 +138,23 @@ def test_curvature_matrix_examples():
 
 
 def test_curvature_loss_examples():
-    m = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    total, diag, off = curvature_loss(_var(m), 1.0)
-    assert float(total.value) == pytest.approx(1.0, abs=1e-15)
-    assert float(diag.value) == pytest.approx(0.5, abs=1e-15)
-    assert float(off.value) == pytest.approx(0.5, abs=1e-15)
+    # the score_penalty primitive on columns whose M is the example above
+    col = np.array([[-1.0], [1.0]])
+    diag, off = score_penalty_parts(col, col)
+    assert diag == pytest.approx(0.5, abs=1e-15) and off == pytest.approx(0.5, abs=1e-15)
+    total = eval_primitive("score_penalty", [col, col], lambda_curv=1.0, alpha_curv=1.0)
+    assert float(total) == pytest.approx(1.0, abs=1e-15)
+    total = eval_primitive("score_penalty", [col, col], lambda_curv=0.5, alpha_curv=2.0)
+    assert float(total) == pytest.approx(2.0 * (0.5 + 0.5 * 0.5), abs=1e-15)
 
-    total, _, _ = curvature_loss(_var(np.eye(4)), 1.0)
-    assert float(total.value) == 0.0
+    zero = np.zeros((2, 1))  # M = 0
+    assert score_penalty_parts(zero, zero) == (2.0, 0.0)
+    assert float(eval_primitive("score_penalty", [zero, zero], lambda_curv=1.0,
+                                alpha_curv=1.0)) == 2.0
 
-    total, _, _ = curvature_loss(_var(np.zeros((2, 2))), 1.0)
-    assert float(total.value) == 2.0
+    with pytest.raises(ShapeMismatchError, match="score_penalty"):
+        eval_primitive("score_penalty", [np.ones((3, 1)), np.ones((4, 1))],
+                       lambda_curv=1.0, alpha_curv=1.0)
 
 
 def test_total_loss_identical_views():
@@ -208,21 +225,17 @@ def test_trace_bound_and_equality_condition():
         g = Graph()
         ct = standardize_scores(g.leaf(batch_curvature(z, 3).reshape(-1, 1)), eps=1e-5)
         ctp = standardize_scores(g.leaf(batch_curvature(zp, 3).reshape(-1, 1)), eps=1e-5)
-        m = curvature_matrix(ct, ctp)
-        trace = float(np.trace(m.value))
+        trace = float(np.trace(curvature_matrix(ct, ctp).value))
         assert trace <= 1.0 + 1e-9
         # at lambda_curv = 1 the penalty is b + ||M||_F^2 - 2 tr M >= b - 1
-        _, diag, off = curvature_loss(m, 1.0)
-        assert float(diag.value) + float(off.value) >= 9 - 1
+        assert sum(score_penalty_parts(ct.value, ctp.value)) >= 9 - 1
     # equality (to 1e-9) when the score columns agree, in the eps->0 limit
     g = Graph()
     scores = batch_curvature(rng.normal(size=(9, 4)), 3).reshape(-1, 1)
     ct = standardize_scores(g.leaf(scores), eps=1e-12)
-    m = curvature_matrix(ct, ct)
-    trace = float(np.trace(m.value))
+    trace = float(np.trace(curvature_matrix(ct, ct).value))
     assert abs(trace - 1.0) <= 1e-9
-    _, diag, off = curvature_loss(m, 1.0)
-    assert abs(float(diag.value) + float(off.value) - (9 - 1)) <= 1e-9
+    assert abs(sum(score_penalty_parts(ct.value, ct.value)) - (9 - 1)) <= 1e-9
 
 
 def test_curvature_penalty_is_b_plus_one_minus_twice_score_correlation():
@@ -237,13 +250,25 @@ def test_curvature_penalty_is_b_plus_one_minus_twice_score_correlation():
             assert abs(bd.curv_diag + bd.curv_offdiag - (b + 1 - 2 * rho)) <= 1e-9
 
 
+def _closed_form_penalty(ct, ctp, lambda_curv):
+    """The score_penalty node at alpha_curv = 1 and its parts."""
+    total = ct.graph.apply("score_penalty", ct, ctp, lambda_curv=lambda_curv, alpha_curv=1.0)
+    return (total, *score_penalty_parts(ct.value, ctp.value))
+
+
+def _composed_penalty(ct, ctp, lambda_curv):
+    """The oracle: the penalty on the (b, b) matrix M, entry by entry."""
+    total, diag, off = identity_penalty(curvature_matrix(ct, ctp), lambda_curv)
+    return total, float(diag.value), float(off.value)
+
+
 def _penalty_and_score_gradients(penalty, scores, scores_p, eps):
     g = Graph()
     c = g.leaf(scores, param=True)
     cp = g.leaf(scores_p, param=True)
-    parts = penalty(standardize_scores(c, eps), standardize_scores(cp, eps))
-    grads = reverse_grad(g, parts[0])
-    return [float(v.value) for v in parts], grads[c.idx], grads[cp.idx]
+    total, *parts = penalty(standardize_scores(c, eps), standardize_scores(cp, eps))
+    grads = reverse_grad(g, total)
+    return [float(total.value), *parts], grads[c.idx], grads[cp.idx]
 
 
 @pytest.mark.parametrize("b", [9, 64, 256])
@@ -258,10 +283,9 @@ def test_closed_form_curvature_penalty_equals_the_eager_reference(b):
                 views.items(), (0.0, 1e-5), (1.0, 0.3, 2.5)):
             case = f"{metric} {view} eps={eps} lambda_curv={lambda_curv}"
             got = _penalty_and_score_gradients(
-                lambda ct, ctp: curvature_penalty(ct, ctp, lambda_curv), scores, scores_p, eps)
+                lambda ct, ctp: _closed_form_penalty(ct, ctp, lambda_curv), scores, scores_p, eps)
             want = _penalty_and_score_gradients(
-                lambda ct, ctp: curvature_loss(curvature_matrix(ct, ctp), lambda_curv),
-                scores, scores_p, eps)
+                lambda ct, ctp: _composed_penalty(ct, ctp, lambda_curv), scores, scores_p, eps)
             for got_part, want_part in zip(got[0], want[0]):  # total, diagonal, off-diagonal
                 assert abs(got_part - want_part) <= 1e-12 * abs(want_part), case
             # identical views at eps = 0 and lambda_curv = 1 sit at the minimum b - 1, where
@@ -269,6 +293,53 @@ def test_closed_form_curvature_penalty_equals_the_eager_reference(b):
             for got_grad, want_grad, col in zip(got[1:], want[1:], (scores, scores_p)):
                 scale = max(np.max(np.abs(want_grad)), 1.0 / col.std())
                 assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * scale, case
+
+
+@pytest.mark.parametrize("b", [9, 64, 256])
+def test_closed_forms_equal_the_oracle_composition(b):
+    # the barlow and score_penalty nodes against both penalties composed entry
+    # by entry: the total, the four parts and the gradients of z and z'
+    rng = np.random.default_rng([15, b])
+    weights = Weights(0.6, 1.7, 0.8)
+    for metric, k, eps in itertools.product(("euclidean", KernelSpec("rbf")), (3, 5),
+                                            (0.0, 1e-5)):
+        case = f"{metric} k={k} eps={eps}"
+        z0, zp0 = rng.normal(size=(b, 6)), rng.normal(size=(b, 6))
+        results = []
+        for closed in (True, False):
+            g = Graph()
+            z, zp = g.leaf(z0, param=True), g.leaf(zp0, param=True)
+            if closed:
+                breakdown, total = total_loss(z, zp, k, metric, weights, eps)
+                parts = breakdown.as_tuple()
+            else:
+                total, *rest = composed_total_loss(z, zp, k, metric, weights, eps)
+                parts = (float(total.value), *(float(v.value) for v in rest))
+            grads = reverse_grad(g, total)
+            results.append((parts, grads[z.idx], grads[zp.idx]))
+        (got, *got_grads), (want, *want_grads) = results
+        for name, got_part, want_part in zip(("total", "emb_diag", "emb_offdiag", "curv_diag",
+                                              "curv_offdiag"), got, want):
+            assert abs(got_part - want_part) <= 1e-12 * abs(want_part), (case, name)
+        for got_grad, want_grad in zip(got_grads, want_grads):
+            assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad)), case
+
+
+@pytest.mark.parametrize("metric", ["euclidean", KernelSpec("rbf")], ids=["euclidean", "rbf"])
+def test_total_loss_tape_is_the_closed_form_head(metric):
+    # z, z', four standardize, two curvature, barlow, score_penalty and one add
+    rng = np.random.default_rng(16)
+    for include_curvature, most in ((True, 14), (False, 6)):
+        g = Graph()
+        z = g.leaf(rng.normal(size=(32, 4)), param=True)
+        zp = g.leaf(rng.normal(size=(32, 4)), param=True)
+        total_loss(z, zp, k=5, metric=metric, include_curvature=include_curvature)
+        ops = [node.op for node in g.nodes]
+        assert len(ops) <= most and ops[:2] == ["leaf", "leaf"], ops
+        head = ops[2:]
+        assert set(head) <= {"standardize", "curvature", "barlow", "score_penalty", "add"}, ops
+        assert head.count("add") <= 1 and head.count("barlow") == 1, ops
+        assert head.count("score_penalty") == int(include_curvature), ops
 
 
 def test_total_loss_tape_holds_no_batch_square_node():

@@ -440,3 +440,22 @@ def test_non_finite_points_raise_non_finite_error_naming_the_row(metric, bad):
     points[6, 1] = bad
     with pytest.raises(NonFiniteError, match="point row 6 "):
         batch_curvature(points, 3, metric)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", KernelSpec("linear"), KernelSpec("rbf", 0.5),
+                                    KernelSpec("rbf")], ids=["euclidean", "linear", "rbf", "rbf-median"])
+def test_eager_scoring_scans_the_points_once(monkeypatch, metric):
+    # centred names a non-finite row before the kNN exists, so the scores'
+    # leaf is not scanned again
+    from curvalign import numerics
+
+    contexts = []
+    require = numerics._require_finite
+
+    def recording(arr, context):
+        contexts.append(context)
+        require(arr, context)
+
+    monkeypatch.setattr(numerics, "_require_finite", recording)
+    batch_curvature(np.random.default_rng(25).normal(size=(10, 3)), 3, metric)
+    assert contexts == ["primitive 'curvature'"]

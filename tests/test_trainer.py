@@ -305,10 +305,10 @@ def _record_tapes(monkeypatch):
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "rbf"])
-def test_desk_step_tape_has_63_nodes(monkeypatch, metric):
-    # the single tape's 63 nodes, split: each lane holds the 8 params, its
-    # view and 4 affine + 3 relu; the joint tape holds z, z', 3 loss
-    # constants and the loss: a tape regression fails here, not only when traced
+def test_desk_step_tape_has_33_nodes(monkeypatch, metric):
+    # the single tape's 33 nodes, split: each lane holds the 8 params, its
+    # view and 4 affine + 3 relu; the joint tape holds z, z' and the closed-form
+    # loss head: a tape regression fails here, not only when traced
     tapes = _record_tapes(monkeypatch)
     desk = Architecture(784, (256, 128), (128, 32))
     config = _small_config(architecture=desk, epochs=1, batch_size=16, k=3, metric=metric)
@@ -317,10 +317,10 @@ def test_desk_step_tape_has_63_nodes(monkeypatch, metric):
     joint, lanes = tapes[0][1], [ops for _, ops in tapes[1:]]
     for ops in lanes:
         assert ops == ["leaf"] * 9 + ["affine", "relu"] * 3 + ["affine"]
-    assert len(joint) == 41 and joint[:2] == ["leaf", "leaf"]
-    assert len(joint) + sum(map(len, lanes)) - 8 - 2 == 63
-    assert (joint.count("standardize"), joint.count("curvature"), joint.count("leaf")) == (4, 2, 5)
-    assert not {"broadcast_row", "mean_rows", "std_rows", "affine", "relu"} & set(joint)
+    assert joint == ["leaf", "leaf", "standardize", "standardize", "barlow",
+                     "curvature", "standardize", "curvature", "standardize", "score_penalty",
+                     "add"]
+    assert len(joint) + sum(map(len, lanes)) - 8 - 2 == 33
 
 
 def _single_graph_step(params, config, views):
@@ -725,15 +725,15 @@ def test_clean_step_checks_only_the_graph_boundary(monkeypatch):
     config = _small_config(epochs=1, metric="rbf")
     pretrain(config, make_blobs(64, 4, 16, 0.05, seed=6))
     (joint, out), (lane_a, _), (lane_b, _) = tapes  # the lanes' walks start in either order
-    for nodes, n_ops in ((joint, 36), (lane_a, 7), (lane_b, 7)):
+    for nodes, n_ops in ((joint, 9), (lane_a, 7), (lane_b, 7)):
         ops = [n for n in nodes if n.op != "leaf"]
         assert len(ops) == n_ops and all(n.active for n in ops)  # nothing else is scanned
     params = [i for i, n in enumerate(lane_a) if n.op == "leaf" and n.param]
     assert params == [i for i, n in enumerate(lane_b) if n.op == "leaf" and n.param] == list(range(8))
     assert [i for i, n in enumerate(joint) if n.param] == [0, 1]  # z and z', not scanned
     # every parameter is scanned once for the step, each view once; the
-    # joint graph scans its 3 constants, its output and the adjoints of z
-    # and z'; each parameter's summed gradient is scanned once
-    assert contexts == (["leaf"] * (8 + 2 + 3) + [f"output node {out}"]
+    # joint graph scans its output and the adjoints of z and z'; each
+    # parameter's summed gradient is scanned once
+    assert contexts == (["leaf"] * (8 + 2) + [f"output node {out}"]
                         + ["gradient of leaf 0", "gradient of leaf 1"]
                         + [f"gradient of leaf {i}" for i in params])
