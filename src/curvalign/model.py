@@ -279,9 +279,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise InvalidArchitectureError(f"unsupported activation {activation!r}")
     arch = Architecture(input_dim, encoder, projector)
     params: Params = {}
-    for name, _, _, _ in arch.layers():
+    for name, fan_in, fan_out, _ in arch.layers():
         try:
             params[name] = (flat[f"{name}.W"], flat[f"{name}.b"])
         except KeyError:
             raise IoFailureError(f"checkpoint is missing tensor {name!r}") from None
+        for key, value, shape in zip(("W", "b"), params[name], ((fan_in, fan_out), (fan_out,))):
+            if value.shape != shape:
+                raise IoFailureError(f"checkpoint tensor {name}.{key} has shape {value.shape}, "
+                                     f"not {shape}")
     return Checkpoint(arch, params, seed, epochs, config_digest, history)

@@ -32,11 +32,14 @@ unfused sub, std_rows, add and div composition in their order, so a
 single-consumer input gets that composition's gradient bit for bit.
 ``model``'s eager passes run the same rules through ``eval_primitive``.
 ``barlow`` and ``score_penalty`` are the loss head's two identity-target
-penalties in closed form, with adjoints by hand.  Nothing in the package
-calls ``broadcast_row``, ``div``, ``exp``, ``gather_rows``, ``mean_rows``,
-``mul``, ``smul``, ``sqrt``, ``square``, ``std_rows``, ``sub`` or ``sum``;
-they stay registered because the benchmark's per-layer metric list names
-every primitive (tests build M = c~ c~'^T / b by ``matmul``, ``transpose``).
+penalties in closed form, with adjoints by hand.  ``Var`` spells only the
+objective's operators (``+``, ``relu``, ``affine``, ``standardize``, and
+the ``@`` and ``.T`` tests build M = c~ c~'^T / b with); ``Graph.apply``
+appends every other primitive and owns the same-graph rule.  Nothing in
+the package calls ``broadcast_row``, ``div``, ``exp``, ``gather_rows``,
+``mean_rows``, ``mul``, ``smul``, ``sqrt``, ``square``, ``std_rows``,
+``sub`` or ``sum``; they stay registered because the benchmark's
+per-layer metric list names every primitive.
 
 ``curvature`` maps embeddings (b, d) to one kNN curvature score per row
 (b, 1).  Both score kinds read one (b, b) pair matrix: the squared
@@ -70,8 +73,7 @@ Array = np.ndarray
 
 
 def _as_f64(x) -> Array:
-    arr = np.asarray(x, dtype=np.float64)
-    return arr
+    return np.asarray(x, dtype=np.float64)
 
 
 def _require_finite(arr: Array, context: str) -> None:
@@ -614,7 +616,9 @@ class Node:
 
 
 class Var:
-    """Handle to one node of a Graph, with operator sugar."""
+    """Handle to one node of a Graph.  Its sugar is the objective's operators
+    (``+``, ``@``, ``.T``, ``relu``, ``affine``, ``standardize``); every other
+    primitive goes through ``Graph.apply``, which owns the same-graph rule."""
 
     __slots__ = ("graph", "idx")
 
@@ -630,50 +634,14 @@ class Var:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def _coerce(self, other) -> "Var":
-        if isinstance(other, Var):
-            if other.graph is not self.graph:
-                raise ValueError("cannot combine Vars from different graphs")
-            return other
-        return self.graph.leaf(np.full(self.shape, float(other)))
+    def __add__(self, other: "Var"):
+        return self.graph.apply("add", self, other)
 
-    def __add__(self, other):
-        return self.graph.apply("add", self, self._coerce(other))
-
-    def __sub__(self, other):
-        return self.graph.apply("sub", self, self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            return self.graph.apply("mul", self, other)
-        return self.graph.apply("smul", self, c=float(other))
-
-    def __truediv__(self, other: "Var"):
-        return self.graph.apply("div", self, other)
-
-    def __matmul__(self, other):
-        return self.graph.apply("matmul", self, self._coerce(other))
+    def __matmul__(self, other: "Var"):
+        return self.graph.apply("matmul", self, other)
 
     def relu(self):
         return self.graph.apply("relu", self)
-
-    def sqrt(self):
-        return self.graph.apply("sqrt", self)
-
-    def square(self):
-        return self.graph.apply("square", self)
-
-    def exp(self):
-        return self.graph.apply("exp", self)
-
-    def sum(self):
-        return self.graph.apply("sum", self)
-
-    def mean_rows(self):
-        return self.graph.apply("mean_rows", self)
-
-    def std_rows(self):
-        return self.graph.apply("std_rows", self)
 
     def standardize(self, eps: float):
         return self.graph.apply("standardize", self, eps=float(eps))
@@ -684,12 +652,6 @@ class Var:
     @property
     def T(self):
         return self.graph.apply("transpose", self)
-
-    def gather_rows(self, rows):
-        return self.graph.apply("gather_rows", self, rows=np.asarray(rows, dtype=np.int64))
-
-    def broadcast_row(self, count: int):
-        return self.graph.apply("broadcast_row", self, count=int(count))
 
 
 class Graph:
@@ -724,8 +686,10 @@ class Graph:
         ``reverse_grad`` checks the output and the gradients, and
         ``forward_values`` names the op that made a non-finite value.  A node
         that depends on no parameter, every node of an eager graph, raises
-        NonFiniteError at the op itself.
+        NonFiniteError at the op itself; an input of another graph, ValueError.
         """
+        if any(a.graph is not self for a in args):
+            raise ValueError("cannot combine Vars from different graphs")
         ids = tuple(a.idx for a in args)
         vals = [self.nodes[i].value for i in ids]
         active = any(self.nodes[i].active for i in ids)

@@ -316,26 +316,35 @@ def circle_scores_at_neighbors(angles, neighbors):
 
 # -- the loss head as a composition of generic primitives --------------------
 
+def _scaled(x, c):
+    """The node c x (the ``smul`` primitive)."""
+    return x.graph.apply("smul", x, c=float(c))
+
+
 def cross_correlation(za, zb):
     """(1/b) za^T zb on the graph of the two Vars."""
-    return (za.T @ zb) * (1.0 / za.shape[0])
+    return _scaled(za.T @ zb, 1.0 / za.shape[0])
 
 
 def identity_penalty(m, off_weight):
     """(total, diagonal part, off-diagonal part) Vars of sum((M_ii - 1)^2)
     + w sum(M_ij^2, i != j), with the identity and its complement as
     constant leaves."""
-    n = m.shape[0]
-    eye = m.graph.leaf(np.eye(n))
-    off_mask = m.graph.leaf(1.0 - np.eye(n))
-    diag_term = ((m * eye) - eye).square().sum()
-    off_term = (m * off_mask).square().sum()
-    return diag_term + off_term * off_weight, diag_term, off_term
+    g, n = m.graph, m.shape[0]
+    eye = g.leaf(np.eye(n))
+    off_mask = g.leaf(1.0 - np.eye(n))
+
+    def sum_of_squares(x):
+        return g.apply("sum", g.apply("square", x))
+
+    diag_term = sum_of_squares(g.apply("sub", g.apply("mul", m, eye), eye))
+    off_term = sum_of_squares(g.apply("mul", m, off_mask))
+    return diag_term + _scaled(off_term, off_weight), diag_term, off_term
 
 
 def curvature_matrix(ct, ctp):
     """(1/b) ct ctp^T of two score columns: rank one, a (b, b) node."""
-    return (ct @ ctp.T) * (1.0 / ct.shape[0])
+    return _scaled(ct @ ctp.T, 1.0 / ct.shape[0])
 
 
 def composed_total_loss(z, zp, k, metric, weights, eps):
@@ -354,4 +363,4 @@ def composed_total_loss(z, zp, k, metric, weights, eps):
                for v, nb in ((z, knn_metric(z.value, k, metric)),
                              (zp, knn_metric(zp.value, k, metric))))
     curv, curv_diag, curv_off = identity_penalty(curvature_matrix(ct, ctp), lambda_curv)
-    return emb + curv * alpha_curv, emb_diag, emb_off, curv_diag, curv_off
+    return emb + _scaled(curv, alpha_curv), emb_diag, emb_off, curv_diag, curv_off

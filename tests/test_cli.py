@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -462,3 +466,19 @@ def test_cli_undecodable_byte_is_a_config_type_error(tmp_path, capsys):
     cfg_path.write_text(f"k = 2\nembeddings_csv = {csv_path}\n")
     assert main(argv) == 11
     assert f"embeddings {csv_path}: byte 0xc3 at offset 13 is not ascii" in capsys.readouterr().err
+
+
+def _readme_section(heading):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"^### {heading}\n(.*?)^#", text, re.S | re.M).group(1)
+
+
+def test_readme_names_every_config_key_and_exit_code():
+    # each key backquoted in the first column of the config table, each
+    # library exit code backquoted in the exit-code section, and no others
+    first_column = [row.split("|")[1] for row in _readme_section("Config format").splitlines()
+                    if row.startswith("| `")]
+    keys = set(re.findall(r"`(\w+)`", " ".join(first_column)))
+    assert keys == {field.name for field in dataclasses.fields(RunConfig)}
+    codes = {int(code) for code in re.findall(r"`(\d+)`", _readme_section("Exit codes"))}
+    assert codes == set(EXIT_CODES.values()) | {0, 1, 2}  # success, unexpected, usage

@@ -333,7 +333,7 @@ def test_graph_scores_gradient():
         g = Graph()
         z = g.leaf(pts, param=True)
         weights = g.leaf(rng.uniform(0.5, 1.5, size=(8, 1)))
-        out = (curvature_scores_graph(z, nb, metric) * weights).sum()
+        out = g.apply("sum", g.apply("mul", curvature_scores_graph(z, nb, metric), weights))
         report = finite_diff_check(g, out, step=1e-5, tol=1e-4)
         assert report.passed, report.per_leaf
 

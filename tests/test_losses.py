@@ -403,3 +403,12 @@ def test_total_loss_preconditions():
     for metric in ("linear", "rbf"):
         with pytest.raises(InvariantViolationError, match=repr(metric)):
             total_loss(z, zp, k=2, metric=metric)
+
+
+def test_total_loss_rejects_views_from_two_graphs():
+    # z' on its own graph would be read by index from z's graph
+    rng = np.random.default_rng(16)
+    z, zp = Graph().leaf(rng.normal(size=(16, 4))), Graph().leaf(rng.normal(size=(16, 4)))
+    for include_curvature in (True, False):
+        with pytest.raises(ValueError, match="^cannot combine Vars from different graphs$"):
+            total_loss(z, zp, k=3, include_curvature=include_curvature)

@@ -214,6 +214,14 @@ CHECKPOINT_FAULTS = [
      lambda p: _load_edited(p, lambda t: t.replace("\nend\n", "\n"))),
     ("missing tensor", IoFailureError, 30, "missing tensor 'proj1'",
      lambda p: _load_edited(p, lambda t: _drop_tensor(t, "proj1.b"))),
+    ("weight of the wrong shape", IoFailureError, 30,
+     r"tensor enc0.W has shape \(8, 6\), not \(6, 8\)",
+     lambda p: _load_edited(p, lambda t: _edit_line(t, "tensor enc0.W ",
+                                                    lambda _: "tensor enc0.W 2 8 6"))),
+    ("bias of the wrong shape", IoFailureError, 30,
+     r"tensor proj1.b has shape \(1, 4\), not \(4,\)",
+     lambda p: _load_edited(p, lambda t: _edit_line(t, "tensor proj1.b ",
+                                                    lambda _: "tensor proj1.b 2 1 4"))),
     ("unwritable path on save", IoFailureError, 30, "cannot write checkpoint",
      lambda p: save_checkpoint(_checkpoint(), p / "no-such-dir" / "model.ckpt")),
     ("edited body", DigestMismatchError, 32, "does not match its digest",

@@ -54,7 +54,7 @@ def test_eval_primitive_errors():
 def test_square_graph_gradient():
     g = Graph()
     w = g.leaf(np.float64(3.0), param=True)
-    f = w.square()
+    f = g.apply("square", w)
     assert float(reverse_grad(g, f)[w.idx]) == 6.0
     report = finite_diff_check(g, f, step=1e-5, tol=1e-8)
     assert report.passed
@@ -62,31 +62,36 @@ def test_square_graph_gradient():
     assert report.worst() <= 1e-8
 
 
+def _row_sum(row):
+    """The (1, 1) sum of a (1, n) row, as a matmul by a column of ones."""
+    return row @ row.graph.leaf(np.ones((row.shape[1], 1)))
+
+
 def test_relu_subgradient_and_matmul_gradient():
     g = Graph()
-    w = g.leaf(np.array([-1.0, 2.0]), param=True)
-    f = w.relu().sum()
-    assert np.array_equal(reverse_grad(g, f)[w.idx], [0.0, 1.0])
+    w = g.leaf(np.array([[-1.0, 2.0]]), param=True)
+    f = _row_sum(w.relu())
+    assert np.array_equal(reverse_grad(g, f)[w.idx], [[0.0, 1.0]])
 
     g2 = Graph()
     W = g2.leaf(np.array([[0.5], [0.25]]), param=True)
     x = g2.leaf(np.array([[1.0, 2.0]]))
-    f2 = (x @ W).sum()
+    f2 = x @ W  # (1, 1): one element is a scalar output
     assert np.array_equal(reverse_grad(g2, f2)[W.idx], [[1.0], [2.0]])
 
 
 def test_relu_derivative_zero_at_exactly_zero():
     g = Graph()
-    w = g.leaf(np.array([0.0, 1.0]), param=True)
-    f = w.relu().sum()
-    assert np.array_equal(reverse_grad(g, f)[w.idx], [0.0, 1.0])
+    w = g.leaf(np.array([[0.0, 1.0]]), param=True)
+    f = _row_sum(w.relu())
+    assert np.array_equal(reverse_grad(g, f)[w.idx], [[0.0, 1.0]])
 
 
 def test_constant_function_passes_check():
     g = Graph()
     w = g.leaf(np.array([1.0, 2.0]), param=True)
     c = g.leaf(np.float64(5.0))
-    out = c.sum()
+    out = c + c
     grads = reverse_grad(g, out)
     assert np.array_equal(grads[w.idx], [0.0, 0.0])  # unreachable leaf -> zeros
     assert finite_diff_check(g, out).passed
@@ -96,39 +101,41 @@ def test_not_scalar_output_rejected():
     g = Graph()
     w = g.leaf(np.ones((2, 2)), param=True)
     with pytest.raises(NotScalarOutputError):
-        reverse_grad(g, w.square())
+        reverse_grad(g, w.relu())
 
 
 def test_reverse_grad_linearity():
     rng = np.random.default_rng(11)
     x0 = rng.uniform(-2, 2, size=(4, 3))
+    u, v = rng.uniform(0.5, 1.5, size=(3, 1)), rng.uniform(0.5, 1.5, size=(3, 1))
 
     def build(parts):
         g = Graph()
         x = g.leaf(x0, param=True)
         terms = []
-        if "square" in parts:
-            terms.append(x.square().sum())
-        if "exp" in parts:
-            terms.append((x * 0.3).exp().sum())
+        if "barlow" in parts:
+            terms.append(g.apply("barlow", x.relu(), x.standardize(0.1), lambda_emb=0.7))
+        if "score_penalty" in parts:
+            terms.append(g.apply("score_penalty", x @ g.leaf(u), x.relu() @ g.leaf(v),
+                                 lambda_curv=1.3, alpha_curv=0.8))
         out = terms[0]
         for t in terms[1:]:
             out = out + t
         return reverse_grad(g, out)[x.idx]
 
-    combined = build(("square", "exp"))
-    separate = build(("square",)) + build(("exp",))
+    combined = build(("barlow", "score_penalty"))
+    separate = build(("barlow",)) + build(("score_penalty",))
     assert np.max(np.abs(combined - separate)) <= 1e-12
 
 
 def test_seeded_walks_of_two_lanes_add_up_to_the_one_graph_gradient():
-    # loss = sum((relu(x0 W) - relu(x1 W))^2): one graph, or a lane per
-    # input whose outputs are the joint graph's parameter leaves
+    # loss = barlow(relu(x0 W), relu(x1 W)): one graph, or a lane per input
+    # whose outputs are the joint graph's parameter leaves
     rng = np.random.default_rng(4)
     w, xs = rng.normal(size=(3, 2)), [rng.normal(size=(5, 3)) for _ in range(2)]
 
     def loss(ys):
-        return (ys[0] - ys[1]).square().sum()
+        return ys[0].graph.apply("barlow", *ys, lambda_emb=0.7)
 
     g = Graph()
     wv = g.leaf(w, param=True)
@@ -161,9 +168,15 @@ def test_add_grads_checks_every_sum():
 def test_rerun_is_bit_identical():
     rng = np.random.default_rng(5)
     g = Graph()
-    x = g.leaf(rng.uniform(-1, 1, size=(5, 4)), param=True)
-    y = g.leaf(rng.uniform(0.5, 1.5, size=(5, 4)), param=True)
-    out = ((x * y).relu() + x.square()).std_rows().sum()
+    x = g.leaf(rng.uniform(-1, 1, size=(6, 4)), param=True)
+    w = g.leaf(rng.uniform(-1, 1, size=(4, 4)), param=True)
+    b = g.leaf(rng.uniform(-1, 1, size=4), param=True)
+    h = (x.affine(w, b).relu() + x).standardize(1e-5)
+    nb = _neighbor_table(rng, 6, 3)
+    ct, ctp = (g.apply("curvature", v, neighbors=nb, score="cosine").standardize(1e-5)
+               for v in (h, x))
+    out = (g.apply("barlow", h, x, lambda_emb=0.5)
+           + g.apply("score_penalty", ct, ctp, lambda_curv=1.0, alpha_curv=1.0))
 
     cached = [n.value for n in g.nodes]
     recomputed = g.forward_values()
@@ -176,6 +189,47 @@ def test_rerun_is_bit_identical():
         assert np.array_equal(g1[key], g2[key])
 
 
+def test_apply_rejects_a_var_of_another_graph():
+    # y's index names x2 on g, which an unchecked apply would read instead
+    g, other = Graph(), Graph()
+    x, x2, bias = g.leaf(np.ones((2, 2))), g.leaf(np.full((2, 2), 2.0)), g.leaf(np.ones(2))
+    other.leaf(np.zeros((2, 2)))
+    y = other.leaf(np.full((2, 2), 3.0))
+    assert y.idx == x2.idx
+    for build in (lambda: g.apply("relu", y), lambda: g.apply("add", x, y),
+                  lambda: x + y, lambda: x @ y, lambda: x.affine(y, bias)):
+        with pytest.raises(ValueError, match="^cannot combine Vars from different graphs$"):
+            build()
+    assert len(g.nodes) == 3
+
+
+def test_no_var_operator_appends_a_benchmark_only_primitive():
+    # the sugar stays the objective's: every other primitive goes through
+    # Graph.apply, and there is no scalar coercion
+    import inspect
+
+    g = Graph()
+    x = g.leaf(np.arange(1.0, 10.0).reshape(3, 3))
+    calls = {
+        "value": lambda: x.value, "shape": lambda: x.shape,
+        "__add__": lambda: x + x, "__matmul__": lambda: x @ x, "T": lambda: x.T,
+        "relu": lambda: x.relu(), "standardize": lambda: x.standardize(0.1),
+        "affine": lambda: x.affine(x, g.leaf(np.ones(3))),
+    }
+    surface = {name for name, attr in vars(numerics.Var).items()
+               if inspect.isfunction(attr) or isinstance(attr, property)} - {"__init__"}
+    assert surface == calls.keys()
+    for name, call in calls.items():
+        before = len(g.nodes)
+        call()
+        appended = {node.op for node in g.nodes[before:]}
+        assert not appended & set(BENCHMARK_ONLY), name
+    before = len(g.nodes)
+    with pytest.raises(AttributeError):  # a constant is not made a leaf
+        x + 1.0
+    assert len(g.nodes) == before
+
+
 # -- per-primitive gradient property ----------------------------------------
 # central differences at h=1e-5 within rel 1e-6, inputs in [-2, 2] and away
 # from relu kinks / division by zero / sqrt(0)
@@ -184,9 +238,14 @@ def _rand(rng, shape, low=-2.0, high=2.0):
     return rng.uniform(low, high, size=shape)
 
 
+def _weighted_sum(var, weights):
+    """sum(var o weights), the weights a constant leaf."""
+    g = var.graph
+    return g.apply("sum", g.apply("mul", var, g.leaf(weights)))
+
+
 def _scalarize(g, rng, var):
-    weights = g.leaf(rng.uniform(0.5, 1.5, size=var.shape))
-    return (var * weights).sum()
+    return _weighted_sum(var, rng.uniform(0.5, 1.5, size=var.shape))
 
 
 def _neighbor_table(rng, b, k):
@@ -226,18 +285,19 @@ CASES = [
     ("affine", lambda g, rng: g.leaf(_rand(rng, (4, 3)), param=True).affine(
         g.leaf(_rand(rng, (3, 2)), param=True), g.leaf(_rand(rng, (2,)), param=True),
     )),
-    ("sum", lambda g, rng: g.leaf(_rand(rng, (3, 4)), param=True).sum()),
-    ("mean_rows", lambda g, rng: g.leaf(_rand(rng, (5, 3)), param=True).mean_rows()),
-    ("std_rows", lambda g, rng: g.leaf(_rand(rng, (6, 3)), param=True).std_rows()),
+    ("sum", lambda g, rng: g.apply("sum", g.leaf(_rand(rng, (3, 4)), param=True))),
+    ("mean_rows", lambda g, rng: g.apply("mean_rows", g.leaf(_rand(rng, (5, 3)), param=True))),
+    ("std_rows", lambda g, rng: g.apply("std_rows", g.leaf(_rand(rng, (6, 3)), param=True))),
     # an eps of the order of the std, so one misplaced eps term would show
     ("standardize", lambda g, rng: g.leaf(_rand(rng, (6, 3)), param=True).standardize(0.3)),
-    ("sqrt", lambda g, rng: g.leaf(_rand(rng, (3, 3), 0.25, 2.0), param=True).sqrt()),
-    ("square", lambda g, rng: g.leaf(_rand(rng, (3, 3)), param=True).square()),
-    ("exp", lambda g, rng: g.leaf(_rand(rng, (3, 3)), param=True).exp()),
+    ("sqrt", lambda g, rng: g.apply("sqrt", g.leaf(_rand(rng, (3, 3), 0.25, 2.0), param=True))),
+    ("square", lambda g, rng: g.apply("square", g.leaf(_rand(rng, (3, 3)), param=True))),
+    ("exp", lambda g, rng: g.apply("exp", g.leaf(_rand(rng, (3, 3)), param=True))),
     ("transpose", lambda g, rng: g.leaf(_rand(rng, (3, 5)), param=True).T),
-    ("gather_rows", lambda g, rng: g.leaf(_rand(rng, (6, 3)), param=True)
-        .gather_rows(rng.integers(0, 6, size=8))),
-    ("broadcast_row", lambda g, rng: g.leaf(_rand(rng, (4,)), param=True).broadcast_row(5)),
+    ("gather_rows", lambda g, rng: g.apply("gather_rows", g.leaf(_rand(rng, (6, 3)), param=True),
+                                           rows=rng.integers(0, 6, size=8))),
+    ("broadcast_row", lambda g, rng: g.apply("broadcast_row", g.leaf(_rand(rng, (4,)), param=True),
+                                             count=5)),
     ("curvature:cosine", lambda g, rng: g.apply(
         "curvature", g.leaf(_rand(rng, (7, 3), -1.0, 1.0), param=True),
         neighbors=_neighbor_table(rng, 7, 4), score="cosine",
@@ -355,8 +415,12 @@ def test_primitive_backward_matches_central_differences(name, builder):
 # -- fused affine and standardize against their unfused compositions --------
 
 def _unfused_standardize(z, eps):
-    b = z.shape[0]
-    return (z - z.mean_rows().broadcast_row(b)) / (z.std_rows() + eps).broadcast_row(b)
+    """(z - mean) / (std + eps) by the sub, std_rows, add and div rules, the
+    nodes appended in the composition's order."""
+    g, b = z.graph, z.shape[0]
+    centered = g.apply("sub", z, g.apply("broadcast_row", g.apply("mean_rows", z), count=b))
+    scale = g.apply("add", g.apply("std_rows", z), g.leaf(np.full(z.shape[1], eps)))
+    return g.apply("div", centered, g.apply("broadcast_row", scale, count=b))
 
 
 def _affine_then_standardize(x0, w0, b0, eps, weights, fused):
@@ -367,8 +431,8 @@ def _affine_then_standardize(x0, w0, b0, eps, weights, fused):
     if fused:
         out = x.affine(w, b).standardize(eps)
     else:
-        out = _unfused_standardize(x @ w + b.broadcast_row(x0.shape[0]), eps)
-    grads = reverse_grad(g, (out * g.leaf(weights)).sum())
+        out = _unfused_standardize(x @ w + g.apply("broadcast_row", b, count=x0.shape[0]), eps)
+    grads = reverse_grad(g, _weighted_sum(out, weights))
     return out.value, [grads[leaf.idx] for leaf in (x, w, b)]
 
 
@@ -396,7 +460,7 @@ def test_standardize_constant_column_gradient_matches_the_composition():
         z = g.leaf(z0, param=True)
         out = build(z)
         assert np.array_equal(out.value[:, 1], np.zeros(8))
-        grads.append(reverse_grad(g, (out * g.leaf(weights)).sum())[z.idx])
+        grads.append(reverse_grad(g, _weighted_sum(out, weights))[z.idx])
     assert np.all(np.isfinite(grads[0]))
     assert np.array_equal(grads[0], grads[1])
 

@@ -428,7 +428,7 @@ def test_rbf_graph_gradient_through_kernel_scores():
     nb = knn_euclidean(pts, 3)
     g = Graph()
     z = g.leaf(pts, param=True)
-    out = curvature_scores_graph(z, nb, KernelSpec("rbf", 0.9)).sum()
+    out = g.apply("sum", curvature_scores_graph(z, nb, KernelSpec("rbf", 0.9)))
     assert finite_diff_check(g, out, step=1e-5, tol=1e-4).passed
 
 
