@@ -22,6 +22,9 @@ from .numerics import (
     _BLOCK_ELEMENTS,
     Graph,
     Var,
+    _gram_halves,
+    _in_halves,
+    _scratch,
     curvature_rows,
     pair_matrix,
     sq_distance_matrix,
@@ -69,35 +72,47 @@ class EdgeBundle:
     edges: np.ndarray    # (k, d), row a is neighbor_a - center
 
 
-def knn_from_sq_distances(d2: np.ndarray, k: int) -> NeighborGraph:
+def knn_from_sq_distances(d2: np.ndarray, k: int,
+                          halves: Optional[list[slice]] = None) -> NeighborGraph:
     """Exact kNN given a full squared-distance matrix, which the graph keeps.
 
     Self-distances are ignored; ties are broken by ascending point index.
     Rows are selected in blocks of at most _BLOCK_ELEMENTS entries, so the
-    temporaries stay bounded and ``d2`` is never copied whole.  Every kNN in
-    the package selects on ``sq_distance_matrix(points)``.
+    temporaries stay bounded and ``d2`` is never copied whole.  ``halves``
+    are the row halves of ``d2``'s gram (``numerics._gram_halves``; default
+    one block); two run on two threads.  Every kNN in the package selects on
+    ``sq_distance_matrix(points)``.
     """
     b = d2.shape[0]
     if not 1 <= k <= b - 1:
         raise KTooLargeError(f"k={k} requires 1 <= k <= b-1 with b={b}")
     indices = np.empty((b, k), dtype=np.int64)
     step = max(1, _BLOCK_ELEMENTS // b)
-    for first in range(0, b, step):
-        indices[first:first + step] = _select(d2[first:first + step], first, k)
+    halves = [slice(0, b)] if halves is None else halves
+    parts = _scratch(halves, step, b)
+
+    def select(half: slice) -> None:
+        for first in range(half.start, half.stop, step):
+            last = min(first + step, half.stop)
+            indices[first:last] = _select(d2[first:last], first, k, parts[half.start])
+
+    _in_halves(select, halves)
     return NeighborGraph(indices, pair_matrix=d2)
 
 
-def _select(dist: np.ndarray, first: int, k: int) -> np.ndarray:
+def _select(dist: np.ndarray, first: int, k: int, scratch: np.ndarray) -> np.ndarray:
     """The k nearest of rows first, first + 1, ... given their distances (m, b).
 
-    Each row's k-th smallest distance comes from a partition; when exactly k
-    entries lie at or below it, one flat scan finds them, ordered by (distance,
-    index).  Rows whose ties straddle position k fall back to a stable sort.
+    Each row's k-th smallest distance comes from a partition of a copy in
+    ``scratch`` (at least m rows); when exactly k entries lie at or below it,
+    one flat scan finds them, ordered by (distance, index).  Rows whose ties
+    straddle position k fall back to a stable sort.
     """
     m, b = dist.shape
     rows = np.arange(first, first + m)
     own = (np.arange(m), rows)  # a point is not its own neighbor
-    part = dist.copy()
+    part = scratch[:m]
+    np.copyto(part, dist)
     part[own] = np.inf
     part.partition(k - 1, axis=1)
     chosen = dist <= part[:, [k - 1]]
@@ -117,7 +132,7 @@ def _select(dist: np.ndarray, first: int, k: int) -> np.ndarray:
 def knn_euclidean(points: np.ndarray, k: int) -> NeighborGraph:
     """Brute-force Euclidean kNN over the rows of ``points``."""
     points = np.asarray(points, dtype=np.float64)
-    graph = knn_from_sq_distances(sq_distance_matrix(points), k)
+    graph = knn_from_sq_distances(sq_distance_matrix(points), k, _gram_halves(points))
     graph.points = points
     return graph
 

@@ -261,11 +261,13 @@ def load_checkpoint(path) -> Checkpoint:
             )
         n_tensors = int(reader.expect("tensors"))
         flat: dict[str, np.ndarray] = {}
+        names = []  # in file order, a repeat included
         for _ in range(n_tensors):
             header = reader.expect("tensor").split()
             name, ndim = header[0], int(header[1])
             shape = tuple(int(v) for v in header[2 : 2 + ndim])
             flat[name] = _decode_tensor(reader.next(), shape)
+            names.append(name)
         if reader.next() != "end":
             raise IoFailureError("missing end marker")
     except (ValueError, IndexError) as err:
@@ -278,6 +280,12 @@ def load_checkpoint(path) -> Checkpoint:
     if activation != ACTIVATION:
         raise InvalidArchitectureError(f"unsupported activation {activation!r}")
     arch = Architecture(input_dim, encoder, projector)
+    known = {f"{layer}.{key}" for layer, *_ in arch.layers() for key in ("W", "b")}
+    for i, name in enumerate(names):
+        if name not in known:
+            raise IoFailureError(f"checkpoint tensor {name} is not in its architecture")
+        if name in names[:i]:
+            raise IoFailureError(f"checkpoint tensor {name} is written twice")
     params: Params = {}
     for name, fan_in, fan_out, _ in arch.layers():
         try:

@@ -57,6 +57,8 @@ weight followed by the same matmuls.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -216,13 +218,22 @@ SHORT_EDGE = 1e-8
 # elements of one row block's temporaries, 1 MiB each: the cosine adjoint's
 # (rows, k, k) gathered pairs (a training batch is one block);
 # sq_distance_matrix and the kNN selection work on the (b, b) matrix in
-# (rows, b) blocks of the same size
+# (rows, b) blocks of the same size, one block at a time on each thread
 _BLOCK_ELEMENTS = 1 << 17
 # elements of one row block's pair terms and their flat index in the
 # curvature sums, and of its (rows, k, k) pair index and weights in the rbf
 # adjoint, 64 KiB each: temporaries this small are reused from the heap step
 # after step, where 1 MiB ones are returned to the kernel and faulted back
 _PAIR_ELEMENTS = 1 << 13
+# multiply-adds of work from which a second thread pays, the one rule for
+# threads: the trainer's worker (one view's MLP forward, batch rows x
+# weights) and the row halves below.  Smaller numpy calls are too short to
+# leave the GIL for long, so a thread only adds hand-offs: lowdim-rbf's 3.1M
+# MLP ran 5% faster with its lanes on the calling thread and 4.6% faster
+# again with no worker at all; desk-euclid's 65M ran 10% faster on the
+# worker, and a scoring pass of 1024 x 784 points (a 411M gram) a third
+# faster in halves
+_THREAD_MACS = 1 << 24
 
 
 def _row_blocks(b: int, k: int, d: int, elements: int = _BLOCK_ELEMENTS) -> list[slice]:
@@ -230,26 +241,145 @@ def _row_blocks(b: int, k: int, d: int, elements: int = _BLOCK_ELEMENTS) -> list
     return [slice(i, min(i + step, b)) for i in range(0, b, step)]
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _halves(rows: int, macs: float) -> list[slice]:
+    """Rows [0, h) and [h, rows), h = ceil(rows / 2), when ``macs`` reaches
+    _THREAD_MACS, else one block of every row: a function of the shape alone,
+    so no bit depends on the threads that run the halves."""
+    if macs < _THREAD_MACS or rows < 2:
+        return [slice(0, rows)]
+    return [slice(0, (rows + 1) // 2), slice((rows + 1) // 2, rows)]
+
+
+def _gram_halves(points: Array) -> list[slice]:
+    """The row halves of ``sq_distance_matrix(points)``'s gram, b^2 d / 2
+    multiply-adds, and of every pass over the (b, b) matrix it returns: a
+    pass splits exactly where its gram does."""
+    b = len(points)
+    return _halves(b, b * b * np.shape(points)[-1] / 2)
+
+
+def _scratch(halves: list[slice], step: int, b: int) -> dict[int, Array]:
+    """One (step, b) block buffer per half, keyed by its first row and
+    allocated on this thread: a worker's own 1 MiB temporaries would stay
+    in its malloc arena after it exits and add to every later peak."""
+    return {half.start: np.empty((min(step, half.stop - half.start), b)) for half in halves}
+
+
+def _in_halves(task: Callable[[slice], None], halves: list[slice]) -> None:
+    """``task(half)`` for every half, in order, on this thread; with two
+    halves and two usable CPUs the second runs on a short-lived worker under
+    this thread's ``np.errstate``, joined before returning, also on an
+    error or on a KeyboardInterrupt that arrives while this thread waits for
+    it.  The first half's error wins, as it would in order.  A worker calls
+    nothing through the module attributes a tracer wraps."""
+    if len(halves) < 2 or _usable_cpus() < 2:
+        for half in halves:
+            task(half)
+        return
+    errors, state, done = [], np.geterr(), threading.Event()
+
+    def run() -> None:
+        try:
+            with np.errstate(**state):
+                task(halves[1])
+        except BaseException as err:
+            errors.append(err)
+        finally:
+            done.set()
+
+    worker = threading.Thread(target=run, name="curvalign-half")
+    worker.start()
+    try:
+        task(halves[0])
+    finally:
+        # a Ctrl-C while waiting is raised once the worker is done; the event,
+        # since an interrupted join marks a running thread stopped (3.11)
+        interrupt = None
+        while True:
+            try:
+                done.wait()
+                worker.join()
+                break
+            except BaseException as err:
+                interrupt = interrupt or err
+        if interrupt is not None:
+            raise interrupt
+    if errors:
+        raise errors.pop()
+
+
 def sq_distance_matrix(points: Array) -> Array:
     """All pairwise squared Euclidean distances, O(b^2) memory: the gram
     expansion of the ``centred`` points, which every kNN, bandwidth and score
-    reads.  Bit-identical rows stay at exactly 0; tiny negative values are
-    clamped.  Once the centred copy is freed it overwrites the gram matrix in
-    row blocks, so one (b, b) array is live.  A row whose squared norm is not
-    finite raises NonFiniteError naming it.
+    reads.  Tiny negative values are clamped, and the matrix is exactly
+    symmetric.  Once the centred copy is freed the gram matrix is
+    overwritten in row blocks, so one (b, b) array is live.  A row whose
+    squared norm is not finite raises NonFiniteError naming it.
+
+    From b^2 d / 2 = _THREAD_MACS multiply-adds (``_gram_halves``) the gram
+    and the distance rows run in two row halves: each half's diagonal block
+    of the gram from syrk (``x @ x.T``), the block between them from gemm,
+    split by rows and mirrored.  The two routines round a pair of identical
+    rows differently, so every pair of identical centred rows is then set to
+    exactly 0 (``_identical_rows``).
+    Below that the gram is one syrk, which leaves most such pairs at 0.
     """
-    points = centred(points)
+    x = centred(points)
+    b = len(x)
+    halves = _gram_halves(x)
+    twins = _identical_rows(x) if len(halves) > 1 else []
+    sq = np.empty((b, b))
+
+    def gram(half: slice) -> None:  # its diagonal block, and a share of the one between
+        np.matmul(x[half], x[half].T, out=sq[half, half])
+        if len(halves) > 1:
+            first, second = halves
+            cut = (first.stop + 1) // 2
+            rows = slice(0, cut) if half == first else slice(cut, first.stop)
+            np.matmul(x[rows], x[second].T, out=sq[rows, second])
+            for i in range(rows.start, rows.stop, 64):  # mirrored in 64-row strips
+                strip = slice(i, min(i + 64, rows.stop))
+                sq[second, strip] = sq[strip, second].T
+
     with np.errstate(all="ignore"):  # a non-finite row is named below
-        sq = points @ points.T
-    del points
+        _in_halves(gram, halves)
+    del x
     diag = sq.diagonal().copy()
     _require_finite_rows(diag)
-    step = max(1, _BLOCK_ELEMENTS // max(1, sq.shape[0]))
-    for i in range(0, sq.shape[0], step):
-        rows = sq[i:i + step]
-        rows *= 2.0
-        np.subtract(diag[i:i + step, None] + diag, rows, out=rows)
-    return np.maximum(sq, 0.0, out=sq)
+    step = max(1, _BLOCK_ELEMENTS // max(1, b))
+    sums = _scratch(halves, step, b)
+
+    def distances(half: slice) -> None:
+        for i in range(half.start, half.stop, step):
+            rows = sq[i:min(i + step, half.stop)]
+            rows *= 2.0
+            block = np.add(diag[i:i + len(rows), None], diag, out=sums[half.start][:len(rows)])
+            np.subtract(block, rows, out=rows)
+            np.maximum(rows, 0.0, out=rows)
+
+    _in_halves(distances, halves)
+    for rows in twins:
+        sq[np.ix_(rows, rows)] = 0.0
+    return sq
+
+
+def _identical_rows(x: Array) -> list[Array]:
+    """The groups of two or more identical rows of ``x``: candidates by equal
+    row sums, confirmed by an exact compare (``np.unique`` on rows, where
+    -0.0 equals 0.0)."""
+    sums = x.sum(axis=1)
+    values, counts = np.unique(sums, return_counts=True)
+    rows = np.flatnonzero(np.isin(sums, values[counts > 1]))
+    if not rows.size:
+        return []
+    label = np.unique(x[rows], axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(label, kind="stable")
+    groups = np.split(rows[order], np.flatnonzero(np.diff(label[order])) + 1)
+    return [group for group in groups if len(group) > 1]
 
 
 def _require_finite_rows(sq_norms: Array) -> None:
@@ -273,12 +403,20 @@ def centred(points: Array) -> Array:
     return points - mid
 
 
-def rbf_kernel_from_sq(sq: Array, gamma: float) -> Array:
-    """exp(-gamma sq), written over the squared-distance matrix ``sq``."""
+def rbf_kernel_from_sq(sq: Array, gamma: float,
+                       halves: Optional[list[slice]] = None) -> Array:
+    """exp(-gamma sq), written over the squared-distance matrix ``sq`` in the
+    row ``halves`` of its gram (``_gram_halves``; default one block)."""
     if gamma is None or not gamma > 0.0:
         raise ValueError("rbf curvature needs a positive gamma; resolve the spec first")
-    np.multiply(sq, -gamma, out=sq)
-    return np.exp(sq, out=sq)
+
+    def kernel(half: slice) -> None:
+        rows = sq[half]
+        np.multiply(rows, -gamma, out=rows)
+        np.exp(rows, out=rows)
+
+    _in_halves(kernel, [slice(0, len(sq))] if halves is None else halves)
+    return sq
 
 
 def rbf_kernel_matrix(points: Array, gamma: float) -> Array:
@@ -287,7 +425,7 @@ def rbf_kernel_matrix(points: Array, gamma: float) -> Array:
     The distances are ``sq_distance_matrix``'s, as in ``rkhs.knn_rkhs``, so
     the two matrices are equal bit for bit.
     """
-    return rbf_kernel_from_sq(sq_distance_matrix(points), gamma)
+    return rbf_kernel_from_sq(sq_distance_matrix(points), gamma, _gram_halves(points))
 
 
 @functools.cache

@@ -23,7 +23,7 @@ from .geometry import (
     knn_from_sq_distances,
     sq_distance_matrix,
 )
-from .numerics import curvature_rows, pair_terms, rbf_kernel_from_sq, unordered_pairs
+from .numerics import _gram_halves, curvature_rows, pair_terms, rbf_kernel_from_sq, unordered_pairs
 
 # the median heuristic falls back to gamma = 1.0 at or below this median distance
 EDGE_FLOOR = 1e-12
@@ -121,7 +121,7 @@ def knn_rkhs(points: np.ndarray, k: int, spec: KernelSpec) -> NeighborGraph:
     """
     points = np.asarray(points, dtype=np.float64)
     if spec.kind == "rbf":
-        graph = knn_from_sq_distances(sq_distance_matrix(points), k)
+        graph = knn_from_sq_distances(sq_distance_matrix(points), k, _gram_halves(points))
         graph.points = points
         return rbf_graph(graph, spec)
     graph = knn_euclidean(points, k)
@@ -136,7 +136,8 @@ def rbf_graph(graph: NeighborGraph, spec: KernelSpec) -> NeighborGraph:
     which then becomes K; the graph's ``kernel`` is the resolved spec."""
     if spec.gamma is None:
         spec = KernelSpec("rbf", _median_gamma(graph.pair_matrix))
-    rbf_kernel_from_sq(graph.pair_matrix, spec.gamma)
+    halves = None if graph.points is None else _gram_halves(graph.points)
+    rbf_kernel_from_sq(graph.pair_matrix, spec.gamma, halves)
     graph.kernel = spec
     return graph
 

@@ -41,7 +41,7 @@ from .model import (
     init_params,
     param_leaves,
 )
-from .numerics import Graph, Var, add_grads, reverse_grad, seeded_grad
+from .numerics import _THREAD_MACS, Graph, Var, add_grads, reverse_grad, seeded_grad
 from .rkhs import KernelSpec
 
 BETA1 = 0.9
@@ -254,11 +254,10 @@ def _first_non_finite(lanes: tuple[Graph, Graph], joint: Optional[Graph],
 
 # multiply-adds of one view's MLP forward (batch rows x weights) from which
 # pretrain has a worker thread for view 1's lane and the next batch's views.
-# A smaller MLP's numpy calls are too short to leave the GIL for long, so
-# there a second thread only adds hand-offs: lowdim-rbf's 3.1M ran 5%
-# faster with its lanes on the calling thread, and 4.6% faster again with
-# no worker at all; desk-euclid's 65M ran 10% faster on the worker
-_LANE_MACS = 1 << 24
+# The same value as numerics', kept under a name of its own only so that a
+# test can put small lanes on the worker without also splitting every gram,
+# which would move their bits; a test asserts the two are equal
+_LANE_MACS = _THREAD_MACS
 
 
 def _run_here(fn: Callable, *args) -> Future:

@@ -62,3 +62,35 @@ def test_traced_pretrain_reports_every_per_layer_metric(tracer):
     missing = [m["name"] for m in spec["per_layer"]
                if m["name"] not in added_by_run_py and m["name"] not in metrics]
     assert missing == []
+
+
+def test_a_split_scoring_pass_calls_every_binding_on_the_calling_thread(tracer, monkeypatch):
+    """A worker half that ran through a wrapped attribute would open its
+    span on the tracer's one stack, under whatever span the caller has open."""
+    import threading
+
+    import numpy as np
+
+    import curvalign as ca
+    from curvalign import geometry, numerics
+
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+    callers = set()
+
+    def recording(fn):
+        def spy(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return spy
+
+    for module, attr, _ in tracer.BINDINGS:
+        monkeypatch.setattr(module, attr, recording(getattr(module, attr)))
+    selecting = set()
+    select = geometry._select
+    monkeypatch.setattr(geometry, "_select",
+                        lambda *args: selecting.add(threading.get_ident()) or select(*args))
+    points = np.random.default_rng(65).normal(size=(515, 129))  # every stage in halves
+    ca.batch_curvature(points, 10)
+    ca.batch_curvature(points, 10, ca.KernelSpec("rbf"))
+    assert callers == {threading.get_ident()}
+    assert len(selecting) >= 2  # a worker ran a half

@@ -1,8 +1,17 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from curvalign import numerics
 from curvalign.data import make_pattern_images
-from curvalign.errors import DegenerateEdgeError, InvariantViolationError, KTooLargeError
+from curvalign.errors import (
+    DegenerateEdgeError,
+    InvariantViolationError,
+    KTooLargeError,
+    NonFiniteError,
+)
 from curvalign.geometry import (
     EdgeBundle,
     NeighborGraph,
@@ -344,3 +353,194 @@ def test_edge_bundle_helper():
     bundle = edge_bundle(pts, nb, 0)
     assert np.array_equal(bundle.center, [0.0, 0.0])
     assert np.array_equal(bundle.edges, [[2.0, 0.0], [0.0, 3.0]])
+
+
+# -- large point sets: two row halves on two threads -------------------------
+
+# 515 x 129 points: b^2 d / 2 = 17.1M multiply-adds, just above _THREAD_MACS,
+# so the gram, the distances and every pass over D^2 run in halves of 258
+# and 257 rows (an odd b)
+SPLIT_B, SPLIT_D = 515, 129
+
+
+def _split_points(seed):
+    points = np.random.default_rng(seed).normal(size=(SPLIT_B, SPLIT_D))
+    assert len(numerics._gram_halves(points)) == 2
+    return points
+
+
+def _scored(points):
+    """D^2, the euclidean indices, both scores and the resolved gamma."""
+    rbf = knn_metric(points, 10, KernelSpec("rbf"))
+    return (sq_distance_matrix(points), knn_euclidean(points, 10).indices,
+            batch_curvature(points, 10), batch_curvature(points, 10, KernelSpec("rbf")),
+            rbf.kernel.gamma)
+
+
+def _worker_threads(monkeypatch):
+    """Every thread but this one that runs a selection block, recorded."""
+    import curvalign.geometry as geometry
+
+    seen, select = set(), geometry._select
+
+    def recording(*args):
+        seen.add(threading.get_ident())
+        return select(*args)
+
+    monkeypatch.setattr(geometry, "_select", recording)
+    return lambda: seen - {threading.get_ident()}
+
+
+def test_split_run_equals_the_one_thread_run_bit_for_bit(monkeypatch):
+    points = _split_points(60)
+    workers = _worker_threads(monkeypatch)
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+    split = _scored(points)
+    assert workers(), "no half ran on a worker"
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 1)
+    one = _scored(points)
+    for got, want in zip(split, one):
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def test_split_distances_are_exactly_symmetric():
+    d2 = sq_distance_matrix(_split_points(61))
+    assert np.array_equal(d2, d2.T)
+    assert np.all(np.diagonal(d2) == 0.0)
+
+
+def test_identical_rows_in_different_halves_sit_at_zero():
+    # row 514, the last, is rounded apart from its twins by syrk (row 300's
+    # and 400's half) and by gemm (row 5's) at this seed; every pair is set to 0
+    points = _split_points(1)
+    twins = [5, 300, 400, 514]
+    points[twins] = points[5]
+    d2 = sq_distance_matrix(points)
+    for i in twins:
+        assert np.all(d2[i, twins] == 0.0) and np.all(d2[twins, i] == 0.0)
+    assert knn_euclidean(points, 3).indices[514].tolist() == [5, 300, 400]  # ties by index
+    same = np.full((SPLIT_B, SPLIT_D), 0.7)
+    assert knn_metric(same, 10, KernelSpec("rbf")).kernel.gamma == 1.0
+
+
+def test_an_error_in_the_worker_half_names_the_one_thread_row(monkeypatch):
+    points = _split_points(62)
+    nan_upper = points.copy()
+    nan_upper[[400, 450]] = np.nan
+    nan_both = nan_upper.copy()
+    nan_both[100] = np.inf
+    twins = points.copy()
+    twins[[300, 301, 302]] = twins[299]  # a zero edge first seen by row 299
+    cases = [(nan_upper, NonFiniteError, "point row 400 ", KernelSpec("rbf")),
+             (nan_upper, NonFiniteError, "point row 400 ", "euclidean"),
+             (nan_both, NonFiniteError, "point row 100 ", "euclidean"),  # the first half's
+             (twins, DegenerateEdgeError, "^row 299: edge to neighbor 0 ", "euclidean")]
+    for cpus in (2, 1):
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda cpus=cpus: cpus)
+        for pts, error, message, metric in cases:
+            with pytest.raises(error, match=message):
+                batch_curvature(pts, 10, metric)
+
+
+def test_in_halves_raises_the_first_half_error_and_keeps_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+    halves = numerics._halves(10, numerics._THREAD_MACS)
+
+    def fail(half):
+        raise ValueError(half.start)
+
+    with pytest.raises(ValueError, match="^0$"):
+        numerics._in_halves(fail, halves)
+    with pytest.raises(ValueError, match="^5$"):
+        numerics._in_halves(lambda half: half.start and fail(half), halves)
+    overflow = lambda half: np.exp(np.full(3, 1e3))  # noqa: E731
+    with np.errstate(over="ignore"):  # a RuntimeWarning is an error in this suite
+        numerics._in_halves(overflow, halves)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        numerics._in_halves(lambda half: half.start and overflow(half), halves)
+
+
+def test_every_split_call_joins_its_worker(monkeypatch):
+    import curvalign.geometry as geometry
+
+    points = _split_points(63)
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    batch_curvature(points, 10, KernelSpec("rbf"))
+    assert threading.active_count() == before
+    bad = points.copy()
+    bad[500] = np.nan
+    with pytest.raises(NonFiniteError):
+        batch_curvature(bad, 10)
+    assert threading.active_count() == before
+
+    select = geometry._select
+
+    def interrupted(*args):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        time.sleep(0.2)  # still running when the caller's half fails
+        return select(*args)
+
+    monkeypatch.setattr(geometry, "_select", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        batch_curvature(points, 10)
+    assert threading.active_count() == before
+
+
+def test_a_keyboard_interrupt_in_join_is_raised_once_the_worker_is_done(monkeypatch):
+    # the caller's half is done and waits in join when SIGINT reaches it
+    import signal
+
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+    main, waiting, finished = threading.get_ident(), threading.Event(), []
+
+    def task(half):
+        if half.start == 0:
+            waiting.set()
+            return
+        waiting.wait()
+        time.sleep(0.1)  # the caller is in join by now
+        signal.pthread_kill(main, signal.SIGINT)
+        time.sleep(0.2)
+        finished.append(half)
+
+    before = threading.active_count()
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            numerics._in_halves(task, numerics._halves(10, numerics._THREAD_MACS))
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert finished, "raised while the worker still ran"
+    assert threading.active_count() == before
+
+
+def test_a_pass_over_distances_splits_only_where_its_gram_does(monkeypatch):
+    # 600 x 32 points: a 5.8M gram, one block, so no pass over its D^2 splits
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a pass over an unsplit D^2 started a thread")
+
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(numerics.threading, "Thread", no_thread)
+    points = np.random.default_rng(66).normal(size=(600, 32))
+    assert len(numerics._gram_halves(points)) == 1
+    batch_curvature(points, 10)
+    batch_curvature(points, 10, KernelSpec("rbf"))
+
+
+@pytest.mark.parametrize("metric,k", [("euclidean", 10), (KernelSpec("rbf"), 20)],
+                         ids=["desk", "lowdim"])
+def test_training_step_shapes_start_no_thread_in_the_loss_head(monkeypatch, metric, k):
+    from curvalign.losses import total_loss
+    from curvalign.numerics import reverse_grad
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the loss head started a thread")
+
+    monkeypatch.setattr(numerics.threading, "Thread", no_thread)
+    rng = np.random.default_rng(64)
+    g = Graph()
+    z, zp = (g.leaf(rng.normal(size=(256, 32)), param=True) for _ in range(2))
+    _, total = total_loss(z, zp, k, metric=metric)
+    reverse_grad(g, total)

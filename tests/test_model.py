@@ -185,6 +185,13 @@ def _drop_tensor(text, name):
     return "\n".join(lines).replace("tensors 8", "tensors 7")
 
 
+def _tensor_record(text, name):
+    """The header and payload lines of tensor ``name``."""
+    lines = text.split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"tensor {name} "))
+    return "\n".join(lines[at:at + 2])
+
+
 def _edit_line(text, prefix, edit, offset=0):
     """``edit`` applied to the line ``offset`` lines below the first that
     starts with ``prefix``."""
@@ -222,6 +229,13 @@ CHECKPOINT_FAULTS = [
      r"tensor proj1.b has shape \(1, 4\), not \(4,\)",
      lambda p: _load_edited(p, lambda t: _edit_line(t, "tensor proj1.b ",
                                                     lambda _: "tensor proj1.b 2 1 4"))),
+    ("tensor the architecture does not name", IoFailureError, 30,
+     "tensor junk.W is not in its architecture",
+     lambda p: _load_edited(p, lambda t: t.replace("tensors 8", "tensors 9").replace(
+         "\nend\n", "\ntensor junk.W 2 1 3\n" + "00" * 24 + "\nend\n"))),
+    ("tensor written twice", IoFailureError, 30, "tensor enc0.b is written twice",
+     lambda p: _load_edited(p, lambda t: t.replace("tensors 8", "tensors 9").replace(
+         "\nend\n", "\n" + _tensor_record(t, "enc0.b") + "\nend\n"))),
     ("unwritable path on save", IoFailureError, 30, "cannot write checkpoint",
      lambda p: save_checkpoint(_checkpoint(), p / "no-such-dir" / "model.ckpt")),
     ("edited body", DigestMismatchError, 32, "does not match its digest",

@@ -172,9 +172,9 @@ def test_one_matrix_rbf_knn_is_bit_identical_to_two_passes(monkeypatch):
     # uncentred expansion
     selected = []  # the distances knn_rkhs selects from
 
-    def recording(d2, k):
+    def recording(d2, k, *halves):
         selected.append(d2.copy())
-        return knn_from_sq_distances(d2, k)
+        return knn_from_sq_distances(d2, k, *halves)
 
     monkeypatch.setattr(rkhs, "knn_from_sq_distances", recording)
     rng = np.random.default_rng(21)

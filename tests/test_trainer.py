@@ -583,6 +583,12 @@ def test_a_small_mlp_runs_both_lanes_on_the_calling_thread(monkeypatch):
     assert 32 * sum(i * o for _, i, o, _ in SMALL_ARCH.layers()) < trainer._LANE_MACS
 
 
+def test_the_lanes_and_the_gram_split_at_one_threshold():
+    from curvalign import numerics
+
+    assert trainer._LANE_MACS == numerics._THREAD_MACS == 1 << 24
+
+
 def test_augmentation_error_surfaces_with_its_class_and_no_thread_survives(monkeypatch):
     events = []
     _logged_calls(monkeypatch, events, fail_on_call=3)  # batch 1, built while step 0 runs
